@@ -73,12 +73,12 @@ const USAGE: &str = "usage: trace <record|replay|stat|mix|verify-corpus> [option
   verify-corpus [--dir DIR] [--jobs N] [--pin [--entry NAME]...]
                 [--diff-out FILE]
       Replay the golden-trace regression corpus (default DIR: corpus/) and
-      verify every trace x variant pair field-by-field against its pinned
-      golden result, plus the cross-layer conservation audit. --pin
+      verify every trace x variant pair leaf by leaf (by JSON path) against
+      its pinned golden result, plus the cross-layer conservation audit. --pin
       re-records the traces and re-pins the goldens instead (byte-identical
       for any --jobs value); --entry restricts the pin to the named entries
       (how new entries are added without rewriting existing goldens);
-      --diff-out additionally writes the field-level diff to FILE on
+      --diff-out additionally writes the JSON-path diff to FILE on
       mismatch (what CI uploads as an artifact).";
 
 fn main() -> ExitCode {
@@ -461,7 +461,7 @@ fn cmd_verify_corpus(args: &[String]) -> Result<(), String> {
     if let Some(path) = &diff_out {
         std::fs::write(path, rendered.clone() + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("wrote field-level diff to {}", path.display());
+        eprintln!("wrote JSON-path diff to {}", path.display());
     }
     Err(format!(
         "{} of {} corpus pairs diverged:\n{rendered}",

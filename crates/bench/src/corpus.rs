@@ -3,9 +3,9 @@
 //! A small set of canonical `.sbt` traces is checked into the repository
 //! under `corpus/`, together with a pinned golden [`SimResult`] (as JSON)
 //! for each trace × design-variant pair. `trace verify-corpus` replays every
-//! pair, diffs the result **field by field** against its golden, and runs
+//! pair, diffs the result **leaf by leaf** against its golden, and runs
 //! the cross-layer conservation audit on it — so an engine change that
-//! shifts any number at all fails CI with the exact fields (or invariants)
+//! shifts any number at all fails CI with the JSON paths (or invariants)
 //! that moved, including changes the shape-asserting unit tests cannot see.
 //!
 //! The corpus mixes two kinds of trace:
@@ -342,7 +342,7 @@ pub struct CorpusReport {
     /// Number of (trace, variant) pairs replayed.
     pub pairs: usize,
     /// One failure record per mismatching pair: the pair's name followed by
-    /// its field-level diff and/or audit violations, one line each.
+    /// its JSON-path diff and/or audit violations, one line each.
     pub failures: Vec<String>,
 }
 
@@ -394,10 +394,8 @@ pub fn pin(corpus: &Path, jobs: usize) -> Result<usize, String> {
 
 /// Like [`pin`], restricted to the entries named in `only` (every entry
 /// when `None`). A filtered pin is how *new* entries are added without
-/// rewriting the existing goldens — e.g. when the `SimResult` schema grows
-/// additive fields, legacy goldens stay byte-identical (the verifier
-/// tolerates them) and only the new entries are pinned under the new
-/// schema.
+/// rewriting the existing goldens. Every golden must parse as a current
+/// [`SimResult`], so a change to its schema re-pins the whole corpus.
 pub fn pin_entries(corpus: &Path, jobs: usize, only: Option<&[String]>) -> Result<usize, String> {
     // Record, replay and validate everything in a scratch root first: a
     // generator change that fails replay or violates an audit invariant must
@@ -506,7 +504,7 @@ fn pin_into_staging(
 }
 
 /// Replays every corpus pair and verifies it against its pinned golden,
-/// field by field, plus the conservation audit. Output is identical for any
+/// leaf by leaf, plus the conservation audit. Output is identical for any
 /// `jobs` value.
 pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
     let entries = entries();
@@ -545,7 +543,11 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
         let golden: SimResult = match serde_json::from_str(&golden_json) {
             Ok(g) => g,
             Err(e) => {
-                failures.push(format!("{pair}: unparsable golden: {e}"));
+                failures.push(format!(
+                    "{pair}: unparsable golden {} ({e}); run `trace verify-corpus --pin` \
+                     to re-pin it in the current schema",
+                    golden_path.display()
+                ));
                 continue;
             }
         };

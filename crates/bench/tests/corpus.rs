@@ -38,7 +38,7 @@ fn checked_in_corpus_verifies_clean() {
 fn corpus_replays_bit_identically_with_telemetry_enabled() {
     // Telemetry is observe-only: replaying every corpus pair with the
     // sampler and timeline enabled must still reproduce the pinned goldens
-    // field by field, and each run's final cumulative sample must tie to its
+    // leaf by leaf, and each run's final cumulative sample must tie to its
     // layer counters (the `telemetry-final-agreement` invariant).
     let corpus = repo_corpus();
     let telemetry = TelemetryConfig {
@@ -160,5 +160,26 @@ fn missing_goldens_point_at_pin() {
         "{}",
         report.failures[0]
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_schema_goldens_fail_with_a_re_pin_hint() {
+    // A golden pinned before the tenant schema (no `per_tenant`) no longer
+    // parses: it must fail loudly with a re-pin hint, never diff clean.
+    let dir = scratch("old-schema");
+    pin(&dir, 2).unwrap();
+    let victim = entries()[0].golden_path(&dir, CORPUS_VARIANTS[0]);
+    let json = std::fs::read_to_string(&victim).unwrap();
+    let cut = json
+        .find(",\n  \"per_tenant\"")
+        .expect("per_tenant is the last field of a pinned golden");
+    std::fs::write(&victim, format!("{}\n}}\n", &json[..cut])).unwrap();
+    let report = verify(&dir, 2).unwrap();
+    assert_eq!(report.failures.len(), 1, "{}", report.render_failures());
+    let failure = &report.failures[0];
+    assert!(failure.contains("unparsable golden"), "{failure}");
+    assert!(failure.contains("missing field `per_tenant`"), "{failure}");
+    assert!(failure.contains("re-pin"), "{failure}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -57,7 +57,6 @@ pub struct DataCacheStats {
     pub accessed_cachelines_evicted: u64,
     /// New-page insertions rejected by the admission policy (always zero
     /// under the default admit-all policy).
-    #[serde(default)]
     pub admission_bypasses: u64,
 }
 

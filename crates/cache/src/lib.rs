@@ -17,8 +17,6 @@
 //! * **log compaction** ([`CompactionPlan`]) — when a log fills up it is
 //!   frozen, writes continue in the other buffer, and the frozen log is
 //!   coalesced page-by-page and flushed to flash in the background;
-//! * **MSHRs** ([`MshrFile`]) — miss-status holding registers that merge
-//!   concurrent requests for the same in-flight flash page;
 //! * **per-tenant log partitions** ([`WriteLogPartitions`]) — windowed
 //!   append accounting per tenant, feeding the `qos` tenant scheduler so a
 //!   log-hungry neighbour can be deprioritised at placement time.
@@ -48,14 +46,12 @@
 
 mod data_cache;
 mod log_index;
-mod mshr;
 mod partition;
 pub mod policy;
 mod write_log;
 
 pub use data_cache::{DataCache, DataCacheStats, EvictedPage};
 pub use log_index::{LogIndex, LogIndexStats};
-pub use mshr::{MshrFile, MshrOutcome};
 pub use partition::WriteLogPartitions;
 pub use policy::{AdmissionPolicy, EvictionPolicy};
 pub use write_log::{AppendOutcome, CompactionPlan, PageFlush, WriteLog, WriteLogStats};

@@ -34,9 +34,13 @@
 //! | `cxl-port-agreement` | link requests == `ssd_accesses`; link responses == classified SSD requests + migrations |
 //! | `telemetry-final-agreement` | the final cumulative telemetry sample matches the `layers` snapshot (only emitted when telemetry ran — see [`audit_with_telemetry`]) |
 //!
-//! When the result carries per-tenant counters (every run of the pipelined
-//! engine does), the per-tenant attribution is additionally tied to the
-//! global counters:
+//! The engine counts instructions, request classes, AMAT components, latency
+//! samples and squashes only per tenant, and folds the run-wide figures from
+//! those counters when the run closes. The `tenant-*` invariants are checks
+//! on that fold (and on the per-tenant counters the engine keeps beside
+//! global ones, such as SSD accesses and finish times), so a result whose
+//! globals and per-tenant slices disagree — a broken fold, or a result
+//! edited after the run — is flagged:
 //!
 //! | name | law |
 //! |------|-----|
@@ -344,12 +348,7 @@ pub fn audit(r: &SimResult) -> AuditReport {
         },
     );
 
-    // Per-tenant attribution invariants (every pipelined run carries the
-    // counters; results deserialized from pre-tenant goldens do not, and
-    // are audited on their global counters alone).
-    if !r.per_tenant.is_empty() {
-        audit_tenants(r, &mut a);
-    }
+    audit_tenants(r, &mut a);
 
     a
 }
@@ -422,9 +421,10 @@ pub fn audit_with_telemetry(r: &SimResult, final_sample: Option<&MetricsSample>)
     a
 }
 
-/// The `tenant-*` invariant set: the per-tenant counters are a partition of
-/// the global ones — sums must close exactly, with no access, squash,
-/// instruction or latency sample left unattributed (or double-attributed).
+/// The `tenant-*` invariant set, the checks on the fold: the per-tenant
+/// counters are a partition of the global ones — sums must close exactly,
+/// with no access, squash, instruction or latency sample left unattributed
+/// (or double-attributed).
 fn audit_tenants(r: &SimResult, a: &mut AuditReport) {
     let tenants = &r.per_tenant;
 

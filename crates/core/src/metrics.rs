@@ -1,7 +1,7 @@
 //! End-to-end metrics produced by a simulation run.
 
 use crate::migration::MigrationStats;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use skybyte_cpu::Boundedness;
 use skybyte_cxl::CxlPortStats;
 use skybyte_ssd::{FlashStats, FtlStats, SsdStats, WriteLogStats};
@@ -27,6 +27,17 @@ pub struct AmatBreakdown {
 }
 
 impl AmatBreakdown {
+    /// Adds `other`'s components and access count into `self` (exact
+    /// integer sums, so folding per-tenant breakdowns loses nothing).
+    pub fn merge(&mut self, other: &AmatBreakdown) {
+        self.host_dram += other.host_dram;
+        self.cxl_protocol += other.cxl_protocol;
+        self.indexing += other.indexing;
+        self.ssd_dram += other.ssd_dram;
+        self.flash += other.flash;
+        self.accesses += other.accesses;
+    }
+
     /// Total latency across all components.
     pub fn total(&self) -> Nanos {
         self.host_dram + self.cxl_protocol + self.indexing + self.ssd_dram + self.flash
@@ -70,6 +81,14 @@ pub struct RequestBreakdown {
 }
 
 impl RequestBreakdown {
+    /// Adds `other`'s request classes into `self`.
+    pub fn merge(&mut self, other: &RequestBreakdown) {
+        self.host += other.host;
+        self.ssd_read_hit += other.ssd_read_hit;
+        self.ssd_read_miss += other.ssd_read_miss;
+        self.ssd_write += other.ssd_write;
+    }
+
     /// Total classified accesses.
     pub fn total(&self) -> u64 {
         self.host + self.ssd_read_hit + self.ssd_read_miss + self.ssd_write
@@ -110,10 +129,12 @@ impl RequestBreakdown {
 /// attribution points (every access retires against the issuing thread's
 /// tenant; see `skybyte_sim::system`).
 ///
-/// The conservation audit ties the per-tenant sums back to the global
-/// counters (`tenant-*` invariants), so attribution can never silently leak
-/// an access. A single-tenant run carries exactly one entry covering the
-/// whole run.
+/// These are the only counters the engine bumps for instructions, request
+/// classes, AMAT components, latency samples and squashes: the run-wide
+/// [`SimResult`] figures are folded from them when the run closes. The
+/// conservation audit's `tenant-*` invariants are checks on that fold, so a
+/// result whose globals and per-tenant slices disagree is flagged. A
+/// single-tenant run carries exactly one entry covering the whole run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantCounters {
     /// The tenant these counters describe.
@@ -169,10 +190,6 @@ impl TenantCounters {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LayerCounters {
     /// CXL link traffic counters (requests, responses, payload bytes).
-    ///
-    /// `#[serde(default)]` so golden results pinned before the port joined
-    /// the snapshot still deserialize (they carry no link counters).
-    #[serde(default)]
     pub cxl: CxlPortStats,
     /// SSD-controller counters (request routing, compaction, prefetch).
     pub ssd: SsdStats,
@@ -201,10 +218,6 @@ pub struct SimResult {
     /// The policy selection the run executed under (eviction, admission,
     /// hotness, tenant scheduling) — surfaced so an ablation row is
     /// self-describing and the audit can hold per policy.
-    ///
-    /// `#[serde(default)]` so golden results pinned before the policy seam
-    /// deserialize to the default block (which is what they ran under).
-    #[serde(default)]
     pub policy: PolicyConfig,
     /// Workload name (Table I).
     pub workload: String,
@@ -214,7 +227,9 @@ pub struct SimResult {
     pub cores: u32,
     /// End-to-end execution time (max over cores).
     pub exec_time: Nanos,
-    /// Total instructions executed (compute bursts).
+    /// Total instructions executed (compute bursts); like [`Self::amat`],
+    /// [`Self::requests`], [`Self::latency_hist`] and
+    /// [`Self::squashed_accesses`], the fold of [`Self::per_tenant`].
     pub instructions: u64,
     /// Memory/compute/context-switch boundedness (Figures 4 and 10).
     pub boundedness: Boundedness,
@@ -275,11 +290,6 @@ pub struct SimResult {
     pub layers: LayerCounters,
     /// Per-tenant attribution of the counters above, one entry per tenant
     /// in tenant-id order (a single-tenant run has exactly one).
-    ///
-    /// `#[serde(default)]` so golden results pinned before multi-tenancy
-    /// still deserialize; [`Self::diff_fields`] treats such a golden as
-    /// pre-tenant schema and skips the fields it cannot have pinned.
-    #[serde(default)]
     pub per_tenant: Vec<TenantCounters>,
 }
 
@@ -338,259 +348,87 @@ impl SimResult {
         self.exec_time.as_nanos() as f64 / baseline.exec_time.as_nanos() as f64
     }
 
-    /// Field-by-field comparison against another result, returning one
-    /// `"path: expected X, got Y"` line per differing field.
+    /// Leaf-by-leaf comparison against a golden result, returning one
+    /// `"json.path: expected X, got Y"` line per differing JSON leaf (a
+    /// sequence-length or key-set mismatch is one line as well).
     ///
     /// This is the diff the golden-corpus verifier prints when a replayed
     /// trace no longer reproduces its pinned result: a plain `PartialEq`
-    /// failure says *that* the numbers drifted, the field list says *where*.
+    /// failure says *that* the numbers drifted, the paths say *where*. It
+    /// walks the serialised trees, so every field — present or future — is
+    /// covered without being listed. Equal results return at once.
     pub fn diff_fields(&self, golden: &SimResult) -> Vec<String> {
         let mut out = Vec::new();
-        macro_rules! cmp {
-            ($path:expr, $a:expr, $b:expr) => {
-                if $a != $b {
-                    out.push(format!("{}: expected {:?}, got {:?}", $path, $b, $a));
-                }
-            };
-        }
-        cmp!("variant", self.variant, golden.variant);
-        cmp!("policy", self.policy, golden.policy);
-        cmp!("workload", &self.workload, &golden.workload);
-        cmp!("threads", self.threads, golden.threads);
-        cmp!("cores", self.cores, golden.cores);
-        cmp!("exec_time", self.exec_time, golden.exec_time);
-        cmp!("instructions", self.instructions, golden.instructions);
-        cmp!(
-            "boundedness.compute",
-            self.boundedness.compute,
-            golden.boundedness.compute
-        );
-        cmp!(
-            "boundedness.memory",
-            self.boundedness.memory,
-            golden.boundedness.memory
-        );
-        cmp!(
-            "boundedness.context_switch",
-            self.boundedness.context_switch,
-            golden.boundedness.context_switch
-        );
-        cmp!(
-            "boundedness.idle",
-            self.boundedness.idle,
-            golden.boundedness.idle
-        );
-        cmp!("amat.host_dram", self.amat.host_dram, golden.amat.host_dram);
-        cmp!(
-            "amat.cxl_protocol",
-            self.amat.cxl_protocol,
-            golden.amat.cxl_protocol
-        );
-        cmp!("amat.indexing", self.amat.indexing, golden.amat.indexing);
-        cmp!("amat.ssd_dram", self.amat.ssd_dram, golden.amat.ssd_dram);
-        cmp!("amat.flash", self.amat.flash, golden.amat.flash);
-        cmp!("amat.accesses", self.amat.accesses, golden.amat.accesses);
-        cmp!("requests.host", self.requests.host, golden.requests.host);
-        cmp!(
-            "requests.ssd_read_hit",
-            self.requests.ssd_read_hit,
-            golden.requests.ssd_read_hit
-        );
-        cmp!(
-            "requests.ssd_read_miss",
-            self.requests.ssd_read_miss,
-            golden.requests.ssd_read_miss
-        );
-        cmp!(
-            "requests.ssd_write",
-            self.requests.ssd_write,
-            golden.requests.ssd_write
-        );
-        if self.latency_hist != golden.latency_hist {
-            out.push(format!(
-                "latency_hist: expected count {} mean {} max {}, \
-                 got count {} mean {} max {}",
-                golden.latency_hist.count(),
-                golden.latency_hist.mean(),
-                golden.latency_hist.max(),
-                self.latency_hist.count(),
-                self.latency_hist.mean(),
-                self.latency_hist.max()
-            ));
-        }
-        cmp!(
-            "flash_pages_programmed",
-            self.flash_pages_programmed,
-            golden.flash_pages_programmed
-        );
-        cmp!(
-            "flash_pages_read",
-            self.flash_pages_read,
-            golden.flash_pages_read
-        );
-        cmp!(
-            "avg_flash_read_latency",
-            self.avg_flash_read_latency,
-            golden.avg_flash_read_latency
-        );
-        cmp!(
-            "write_amplification",
-            self.write_amplification,
-            golden.write_amplification
-        );
-        cmp!(
-            "context_switches",
-            self.context_switches,
-            golden.context_switches
-        );
-        cmp!("pages_promoted", self.pages_promoted, golden.pages_promoted);
-        cmp!("pages_demoted", self.pages_demoted, golden.pages_demoted);
-        cmp!("compactions", self.compactions, golden.compactions);
-        cmp!(
-            "compaction_time",
-            self.compaction_time,
-            golden.compaction_time
-        );
-        cmp!(
-            "log_index_bytes",
-            self.log_index_bytes,
-            golden.log_index_bytes
-        );
-        cmp!(
-            "flash_busy_time",
-            self.flash_busy_time,
-            golden.flash_busy_time
-        );
-        cmp!("flash_channels", self.flash_channels, golden.flash_channels);
-        cmp!("gc_campaigns", self.gc_campaigns, golden.gc_campaigns);
-        cmp!("ssd_accesses", self.ssd_accesses, golden.ssd_accesses);
-        cmp!(
-            "squashed_accesses",
-            self.squashed_accesses,
-            golden.squashed_accesses
-        );
-        cmp!("migration_runs", self.migration_runs, golden.migration_runs);
-        cmp!("truncated", self.truncated, golden.truncated);
-        // A golden pinned before the tenant schema carries neither
-        // per-tenant counters nor the CXL-port snapshot; such fields are
-        // additive attribution (the global counters above pin the same
-        // physics), so they are skipped rather than forcing a re-pin of
-        // every legacy golden.
-        let legacy_golden = golden.per_tenant.is_empty() && !self.per_tenant.is_empty();
-        if !legacy_golden {
-            cmp!("layers.cxl", self.layers.cxl, golden.layers.cxl);
-            if self.per_tenant.len() != golden.per_tenant.len() {
-                out.push(format!(
-                    "per_tenant: expected {} tenant(s), got {}",
-                    golden.per_tenant.len(),
-                    self.per_tenant.len()
-                ));
-            } else {
-                for (mine, theirs) in self.per_tenant.iter().zip(&golden.per_tenant) {
-                    let tenant = theirs.tenant;
-                    cmp!(
-                        format!("per_tenant[{tenant}].tenant"),
-                        mine.tenant,
-                        theirs.tenant
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].threads"),
-                        mine.threads,
-                        theirs.threads
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].instructions"),
-                        mine.instructions,
-                        theirs.instructions
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].requests"),
-                        mine.requests,
-                        theirs.requests
-                    );
-                    cmp!(format!("per_tenant[{tenant}].amat"), mine.amat, theirs.amat);
-                    if mine.latency_hist != theirs.latency_hist {
-                        out.push(format!(
-                            "per_tenant[{tenant}].latency_hist: expected count {} \
-                             mean {} max {}, got count {} mean {} max {}",
-                            theirs.latency_hist.count(),
-                            theirs.latency_hist.mean(),
-                            theirs.latency_hist.max(),
-                            mine.latency_hist.count(),
-                            mine.latency_hist.mean(),
-                            mine.latency_hist.max()
-                        ));
-                    }
-                    cmp!(
-                        format!("per_tenant[{tenant}].ssd_accesses"),
-                        mine.ssd_accesses,
-                        theirs.ssd_accesses
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].squashed_accesses"),
-                        mine.squashed_accesses,
-                        theirs.squashed_accesses
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].context_switches"),
-                        mine.context_switches,
-                        theirs.context_switches
-                    );
-                    cmp!(
-                        format!("per_tenant[{tenant}].finish_time"),
-                        mine.finish_time,
-                        theirs.finish_time
-                    );
-                }
-            }
-        }
-        // A golden pinned before the hotness tracker exposed its page gauge
-        // carries `tracked_pages: None`; the gauge is additive (no physics
-        // behind it), so it is normalised away rather than forcing a re-pin.
-        let mut ssd_mine = self.layers.ssd;
-        if golden.layers.ssd.tracked_pages.is_none() {
-            ssd_mine.tracked_pages = None;
-        }
-        cmp!("layers.ssd", ssd_mine, golden.layers.ssd);
-        cmp!("layers.flash", self.layers.flash, golden.layers.flash);
-        cmp!("layers.ftl", self.layers.ftl, golden.layers.ftl);
-        cmp!(
-            "layers.write_log",
-            self.layers.write_log,
-            golden.layers.write_log
-        );
-        cmp!(
-            "layers.write_log_resident_entries",
-            self.layers.write_log_resident_entries,
-            golden.layers.write_log_resident_entries
-        );
-        cmp!(
-            "layers.migration",
-            self.layers.migration,
-            golden.layers.migration
-        );
-        // Completeness guard: if a future SimResult field is added without a
-        // `cmp!` line above, a drift in it must not slip through the golden
-        // corpus as an empty diff. Legacy goldens are normalised first so
-        // the deliberately skipped fields do not trip the guard.
-        if out.is_empty() {
-            let mut normalised = self.clone();
-            if legacy_golden {
-                normalised.per_tenant.clear();
-                normalised.layers.cxl = golden.layers.cxl;
-            }
-            if golden.layers.ssd.tracked_pages.is_none() {
-                normalised.layers.ssd.tracked_pages = None;
-            }
-            if normalised != *golden {
-                out.push(
-                    "results differ in a field diff_fields does not enumerate — \
-                     update SimResult::diff_fields"
-                        .to_string(),
-                );
-            }
+        if self != golden {
+            diff_values("", &golden.serialize(), &self.serialize(), &mut out);
         }
         out
+    }
+}
+
+/// Appends one line per differing leaf of `expected` vs `got` under `path`.
+fn diff_values(path: &str, expected: &Value, got: &Value, out: &mut Vec<String>) {
+    let child = |key: &str| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        }
+    };
+    match (expected, got) {
+        (Value::Map(e), Value::Map(g)) => {
+            for (key, ev) in e {
+                match g.iter().find(|(k, _)| k == key) {
+                    Some((_, gv)) => diff_values(&child(key), ev, gv, out),
+                    None => out.push(format!(
+                        "{}: expected {}, got nothing",
+                        child(key),
+                        render(ev)
+                    )),
+                }
+            }
+            for (key, gv) in g.iter().filter(|(k, _)| !e.iter().any(|(ek, _)| ek == k)) {
+                out.push(format!(
+                    "{}: expected nothing, got {}",
+                    child(key),
+                    render(gv)
+                ));
+            }
+        }
+        (Value::Seq(e), Value::Seq(g)) => {
+            if e.len() != g.len() {
+                out.push(format!(
+                    "{path}: expected {} element(s), got {}",
+                    e.len(),
+                    g.len()
+                ));
+            }
+            for (i, (ev, gv)) in e.iter().zip(g).enumerate() {
+                diff_values(&format!("{path}[{i}]"), ev, gv, out);
+            }
+        }
+        _ if expected != got => {
+            out.push(format!(
+                "{path}: expected {}, got {}",
+                render(expected),
+                render(got)
+            ));
+        }
+        _ => {}
+    }
+}
+
+/// A leaf as JSON text; a compound value as a one-word summary.
+fn render(v: &Value) -> String {
+    match v {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Int(n) => n.to_string(),
+        Value::UInt(n) => n.to_string(),
+        Value::Float(x) => format!("{x:?}"),
+        Value::Str(s) => format!("{s:?}"),
+        Value::Seq(items) => format!("[{} element(s)]", items.len()),
+        Value::Map(fields) => format!("{{{} field(s)}}", fields.len()),
     }
 }
 
@@ -686,6 +524,12 @@ mod tests {
         assert_eq!(a.amat(), Nanos::new(100));
         assert!((a.fractions().fraction("flash") - 0.6).abs() < 1e-9);
         assert_eq!(AmatBreakdown::default().amat(), Nanos::ZERO);
+        let mut folded = AmatBreakdown::default();
+        folded.merge(&a);
+        folded.merge(&a);
+        assert_eq!(folded.total(), Nanos::new(2000));
+        assert_eq!(folded.accesses, 20);
+        assert_eq!(folded.amat(), a.amat());
     }
 
     #[test]
@@ -702,6 +546,10 @@ mod tests {
         assert!((r.ssd_read_miss_fraction() - 0.05).abs() < 1e-12);
         assert!((r.ssd_write_fraction() - 0.2).abs() < 1e-12);
         assert_eq!(RequestBreakdown::default().host_fraction(), 0.0);
+        let mut folded = r;
+        folded.merge(&r);
+        assert_eq!(folded.total(), 200);
+        assert_eq!(folded.ssd_read_miss, 10);
     }
 
     #[test]
@@ -748,56 +596,80 @@ mod tests {
 
     #[test]
     fn diff_fields_pinpoints_divergent_fields() {
-        let golden = dummy(1_000_000);
+        let mut golden = dummy(1_000_000);
+        golden.layers.write_log = Some(WriteLogStats::default());
         assert!(golden.diff_fields(&golden).is_empty());
         let mut run = golden.clone();
         run.requests.ssd_write += 1;
         run.exec_time += Nanos::new(5);
         run.layers.flash.pages_read = 77;
         let diff = run.diff_fields(&golden);
-        assert_eq!(diff.len(), 3, "{diff:?}");
-        assert!(diff.iter().any(|d| d.starts_with("requests.ssd_write:")));
-        assert!(diff.iter().any(|d| d.starts_with("exec_time:")));
-        assert!(diff.iter().any(|d| d.starts_with("layers.flash:")));
+        assert_eq!(
+            diff,
+            [
+                "exec_time: expected 1000000, got 1000005",
+                "requests.ssd_write: expected 20, got 21",
+                "layers.flash.pages_read: expected 0, got 77",
+            ],
+        );
+        // Fields the hand-kept list used to compare only as a whole (or not
+        // at all) are named down to the leaf, one line each.
+        let mut nested = golden.clone();
+        nested.layers.write_log.as_mut().unwrap().appends += 1;
+        assert_eq!(
+            nested.diff_fields(&golden),
+            ["layers.write_log.appends: expected 0, got 1"]
+        );
+        let mut policy = golden.clone();
+        policy.policy.eviction = skybyte_types::EvictionPolicyKind::Clock;
+        assert_eq!(
+            policy.diff_fields(&golden),
+            [r#"policy.eviction: expected "PseudoLru", got "Clock""#]
+        );
     }
 
     #[test]
     fn diff_fields_covers_tenant_and_port_counters() {
-        let golden = dummy(1_000_000);
+        let mut golden = dummy(1_000_000);
+        golden.per_tenant.push(TenantCounters {
+            tenant: TenantId(1),
+            ..golden.per_tenant[0].clone()
+        });
         let mut run = golden.clone();
         run.per_tenant[0].ssd_accesses += 1;
         run.per_tenant[0].finish_time += Nanos::new(9);
         run.layers.cxl.requests = 42;
         let diff = run.diff_fields(&golden);
-        assert_eq!(diff.len(), 3, "{diff:?}");
-        assert!(diff
-            .iter()
-            .any(|d| d.starts_with("per_tenant[t0].ssd_accesses:")));
-        assert!(diff
-            .iter()
-            .any(|d| d.starts_with("per_tenant[t0].finish_time:")));
-        assert!(diff.iter().any(|d| d.starts_with("layers.cxl:")));
-        // A differing tenant count is reported as such.
+        assert_eq!(
+            diff,
+            [
+                "layers.cxl.requests: expected 0, got 42",
+                "per_tenant[0].ssd_accesses: expected 90, got 91",
+                "per_tenant[0].finish_time: expected 1000000, got 1000009",
+            ],
+        );
+        // A histogram leaf of the second tenant is named by its JSON path.
+        let mut hist = golden.clone();
+        let mut value = hist.per_tenant[1].latency_hist.serialize();
+        if let Value::Map(fields) = &mut value {
+            for (key, v) in fields.iter_mut() {
+                if key == "max_ns" {
+                    *v = Value::UInt(7);
+                }
+            }
+        }
+        hist.per_tenant[1].latency_hist = LatencyHistogram::deserialize(&value).unwrap();
+        assert_eq!(
+            hist.diff_fields(&golden),
+            ["per_tenant[1].latency_hist.max_ns: expected 0, got 7"]
+        );
+        // A differing tenant count is one line; the shared prefix agrees.
         let mut extra = golden.clone();
-        extra.per_tenant.push(extra.per_tenant[0].clone());
-        let diff = extra.diff_fields(&golden);
-        assert!(diff.iter().any(|d| d.starts_with("per_tenant: expected 1")));
-    }
-
-    #[test]
-    fn legacy_goldens_without_tenant_counters_diff_clean() {
-        // A golden pinned before the tenant schema deserializes with an
-        // empty per-tenant vector and a zero port snapshot; a new-schema
-        // run must diff clean against it as long as the shared fields agree.
-        let run = dummy(1_000_000);
-        let mut legacy = run.clone();
-        legacy.per_tenant.clear();
-        legacy.layers.cxl = Default::default();
-        assert!(run.diff_fields(&legacy).is_empty());
-        // …while a drift in a shared field is still caught.
-        let mut drifted = run.clone();
-        drifted.exec_time += Nanos::new(1);
-        assert_eq!(drifted.diff_fields(&legacy).len(), 1);
+        extra.per_tenant.push(extra.per_tenant[1].clone());
+        assert_eq!(
+            extra.diff_fields(&golden),
+            ["per_tenant: expected 2 element(s), got 3"]
+        );
     }
 
     #[test]
@@ -813,42 +685,5 @@ mod tests {
         assert!((contended.slowdown_over(&solo) - 2.5).abs() < 1e-12);
         assert_eq!(solo.slowdown_over(&TenantCounters::default()), 0.0);
         assert_eq!(solo.accesses(), 0);
-    }
-
-    #[test]
-    fn sim_result_deserialises_without_new_schema_fields() {
-        // Simulates reading a pre-tenant golden: serialize, strip the new
-        // fields from the JSON, and deserialize through #[serde(default)].
-        let r = dummy(1000);
-        let json = serde_json::to_string(&r).unwrap();
-        let value: serde::Value = serde_json::from_str(&json).unwrap();
-        // Rebuild the object without `per_tenant` / `layers.cxl`.
-        let stripped = match value {
-            serde::Value::Map(fields) => serde::Value::Map(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "per_tenant")
-                    .map(|(k, v)| {
-                        if k == "layers" {
-                            let layers = match v {
-                                serde::Value::Map(lf) => serde::Value::Map(
-                                    lf.into_iter().filter(|(lk, _)| lk != "cxl").collect(),
-                                ),
-                                other => other,
-                            };
-                            (k, layers)
-                        } else {
-                            (k, v)
-                        }
-                    })
-                    .collect(),
-            ),
-            other => other,
-        };
-        let legacy_json = serde_json::to_string(&stripped).unwrap();
-        let back: SimResult = serde_json::from_str(&legacy_json).unwrap();
-        assert!(back.per_tenant.is_empty());
-        assert_eq!(back.layers.cxl, Default::default());
-        assert_eq!(back.exec_time, r.exec_time);
     }
 }

@@ -20,14 +20,15 @@
 //! 4. [`retire`](SystemState::retire) — commit the core clock and detect
 //!    thread completion.
 //!
-//! Every access, squash and latency sample is attributed to the issuing
-//! thread's tenant ([`TenantMap`]) at the same points the global counters
-//! are bumped, so multi-tenancy is native to the pipeline rather than a
-//! post-processing pass: the per-tenant counters and the global counters
-//! are two views of one event stream, and the conservation audit ties them
-//! together. For a single-tenant source the pipeline performs exactly the
-//! operations of the old monolith in the same order — the golden-trace
-//! corpus pins that the refactor is behaviour-preserving bit for bit.
+//! Every instruction, access, squash and latency sample is counted once,
+//! against the issuing thread's tenant ([`TenantMap`]), so multi-tenancy is
+//! native to the pipeline rather than a post-processing pass. The run-wide
+//! figures of the [`SimResult`] are folded from the per-tenant counters when
+//! the run closes (integer sums and exact histogram merges), and the
+//! conservation audit's `tenant-*` invariants check that fold. For a
+//! single-tenant source the pipeline performs exactly the operations of the
+//! old monolith in the same order — the golden-trace corpus pins that the
+//! refactor is behaviour-preserving bit for bit.
 //!
 //! Passes are sequenced by a discrete-event core ([`crate::event`]): each
 //! live core keeps one pending event in a monotone queue, idle cores jump
@@ -89,8 +90,8 @@ enum Pass {
 }
 
 /// Everything one simulation run owns: the simulated devices, the OS-side
-/// models, per-core execution state and every counter the run accumulates —
-/// global and per tenant.
+/// models, per-core execution state and every counter the run accumulates
+/// (per tenant; the run-wide figures are folded from them at the end).
 pub struct SystemState {
     cfg: SimConfig,
     // Devices and OS models.
@@ -112,20 +113,14 @@ pub struct SystemState {
     boundedness: Vec<Boundedness>,
     execs: Vec<ThreadExecutor>,
     tenant_map: TenantMap,
-    // Global counters.
-    amat: AmatBreakdown,
-    requests: RequestBreakdown,
-    hist: LatencyHistogram,
-    instructions: u64,
     // Counts every SSD access, including squashed (context-switched) ones
     // that never reach the classified `requests` breakdown; the migration
     // cadence must advance on those too, otherwise a request total parked on
     // a multiple of the period would re-fire the policy on every access.
     ssd_accesses: u64,
-    // Squashed accesses alone: the audit's requests-conservation invariant
-    // ties `classified SSD requests + squashed == ssd_accesses`.
-    squashed_accesses: u64,
-    // Per-tenant attribution, indexed by dense tenant id.
+    // Per-tenant attribution, indexed by dense tenant id: the only place
+    // instructions, request classes, AMAT components, latency samples and
+    // squashes are counted.
     per_tenant: Vec<TenantCounters>,
     // Work accounting: `units` counts retired work units (every unit pulled
     // from an executor and pushed through the access pipeline, squashed
@@ -243,12 +238,7 @@ impl SystemState {
             boundedness: vec![Boundedness::default(); cores],
             execs,
             tenant_map,
-            amat: AmatBreakdown::default(),
-            requests: RequestBreakdown::default(),
-            hist: LatencyHistogram::new(),
-            instructions: 0,
             ssd_accesses: 0,
-            squashed_accesses: 0,
             per_tenant,
             units: 0,
             max_units,
@@ -505,7 +495,6 @@ impl SystemState {
 
         // Compute burst.
         let compute = self.core_model.compute_time(unit.instructions);
-        self.instructions += unit.instructions;
         self.per_tenant[tenant].instructions += unit.instructions;
         self.boundedness[core].compute += compute;
         self.sched.account_runtime(tid, compute);
@@ -536,10 +525,6 @@ impl SystemState {
         self.boundedness[core].memory += stall;
         self.sched.account_runtime(tid, stall);
         let t = t + stall;
-        self.amat.host_dram += latency;
-        self.amat.accesses += 1;
-        self.requests.host += 1;
-        self.hist.record(latency);
         let counters = &mut self.per_tenant[tenant];
         counters.amat.host_dram += latency;
         counters.amat.accesses += 1;
@@ -613,20 +598,16 @@ impl SystemState {
             // when they retire (§VI-D).
             let counters = &mut self.per_tenant[tenant];
             if unit.access.kind.is_write() {
-                self.requests.ssd_write += 1;
                 counters.requests.ssd_write += 1;
             } else if outcome.served_by == ServedBy::Flash {
-                self.requests.ssd_read_miss += 1;
                 counters.requests.ssd_read_miss += 1;
             } else {
-                self.requests.ssd_read_hit += 1;
                 counters.requests.ssd_read_hit += 1;
             }
         }
 
         if will_switch {
             // Long Delay Exception: squash, block, switch.
-            self.squashed_accesses += 1;
             let counters = &mut self.per_tenant[tenant];
             counters.squashed_accesses += 1;
             counters.context_switches += 1;
@@ -661,15 +642,8 @@ impl SystemState {
             self.boundedness[core].memory += stall;
             self.sched.account_runtime(tid, stall);
             t += stall;
-            let cxl = self.cfg.ssd.cxl_protocol_latency * 2;
-            self.amat.cxl_protocol += cxl;
-            self.amat.indexing += outcome.breakdown.indexing;
-            self.amat.ssd_dram += outcome.breakdown.ssd_dram;
-            self.amat.flash += outcome.breakdown.flash;
-            self.amat.accesses += 1;
-            self.hist.record(latency);
             let counters = &mut self.per_tenant[tenant];
-            counters.amat.cxl_protocol += cxl;
+            counters.amat.cxl_protocol += self.cfg.ssd.cxl_protocol_latency * 2;
             counters.amat.indexing += outcome.breakdown.indexing;
             counters.amat.ssd_dram += outcome.breakdown.ssd_dram;
             counters.amat.flash += outcome.breakdown.flash;
@@ -792,7 +766,7 @@ impl SystemState {
             write_log_appends: self.ssd.stats().write_log_appends,
             cxl_requests: self.port.stats().requests,
             ssd_accesses: self.ssd_accesses,
-            squashed_accesses: self.squashed_accesses,
+            squashed_accesses: self.per_tenant.iter().map(|t| t.squashed_accesses).sum(),
             context_switches: self.sched.stats().context_switches,
             per_tenant_accesses: self
                 .per_tenant
@@ -858,6 +832,21 @@ impl SystemState {
             tel.finish(final_sample)
         });
 
+        // The run-wide figures are the fold of the per-tenant counters; the
+        // `tenant-*` audit invariants check it.
+        let mut instructions = 0;
+        let mut amat = AmatBreakdown::default();
+        let mut requests = RequestBreakdown::default();
+        let mut latency_hist = LatencyHistogram::new();
+        let mut squashed_accesses = 0;
+        for t in &self.per_tenant {
+            instructions += t.instructions;
+            amat.merge(&t.amat);
+            requests.merge(&t.requests);
+            latency_hist.merge(&t.latency_hist);
+            squashed_accesses += t.squashed_accesses;
+        }
+
         let result = SimResult {
             variant: self.cfg.variant,
             policy: self.cfg.policy,
@@ -865,11 +854,11 @@ impl SystemState {
             threads: self.cfg.threads,
             cores: self.cfg.cpu.cores,
             exec_time,
-            instructions: self.instructions,
+            instructions,
             boundedness: total_boundedness,
-            amat: self.amat,
-            requests: self.requests,
-            latency_hist: self.hist,
+            amat,
+            requests,
+            latency_hist,
             flash_pages_programmed: self.ssd.flash_stats().pages_programmed,
             flash_pages_read: self.ssd.flash_stats().pages_read,
             avg_flash_read_latency: self.ssd.flash_stats().avg_read_latency(),
@@ -884,7 +873,7 @@ impl SystemState {
             flash_channels: self.cfg.ssd.geometry.channels,
             gc_campaigns: self.ssd.ftl_stats().gc_campaigns,
             ssd_accesses: self.ssd_accesses,
-            squashed_accesses: self.squashed_accesses,
+            squashed_accesses,
             migration_runs: self.migration.stats().runs,
             truncated: self.truncated,
             layers,

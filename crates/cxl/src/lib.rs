@@ -10,21 +10,19 @@
 //!
 //! This crate provides:
 //!
-//! * [`message`] — message and opcode types with bit-exact NDR encoding,
 //! * [`port`] — the link/protocol timing model (40 ns protocol latency,
-//!   PCIe 5.0 ×4 bandwidth) and per-transaction tag allocation,
+//!   PCIe 5.0 ×4 bandwidth); the simulator carries the `SkyByte-Delay`
+//!   completion as a `delay_hint` flag on the SSD access outcome rather than
+//!   as an encoded NDR message,
 //! * [`plb`] — the Promotion Look-aside Buffer in the host bridge that keeps
 //!   reads/writes consistent while a page migrates between the SSD and host
-//!   DRAM (§III-C), including the two-level variant for 2 MiB huge pages
-//!   (§IV).
+//!   DRAM (§III-C).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod message;
 pub mod plb;
 pub mod port;
 
-pub use message::{CxlRequest, CxlResponse, MemOpcode, NdrOpcode, Tag};
-pub use plb::{HugePagePlb, PlbEntry, PromotionLookasideBuffer, WriteRoute};
-pub use port::{CxlPort, CxlPortStats, TagAllocator};
+pub use plb::{PlbEntry, PromotionLookasideBuffer, WriteRoute};
+pub use port::{CxlPort, CxlPortStats};

@@ -6,11 +6,6 @@
 //! page, and a bitmap of cachelines already copied. Reads of a page under
 //! promotion are served from the SSD DRAM; writes go to the most recent copy
 //! — the host page if that cacheline has already migrated, the SSD otherwise.
-//!
-//! For 2 MiB huge pages a two-level variant ([`HugePagePlb`]) tracks 4 KiB
-//! chunks in the first level and the cachelines of the chunk currently under
-//! migration in the second level, so the per-entry bitmap stays 64 B + 8 B
-//! instead of 4 KiB (§IV).
 
 use serde::{Deserialize, Serialize};
 use skybyte_types::{CachelineIndex, PageNumber, CACHELINES_PER_PAGE};
@@ -161,109 +156,6 @@ impl PromotionLookasideBuffer {
     }
 }
 
-/// Number of 4 KiB chunks in a 2 MiB huge page.
-pub const CHUNKS_PER_HUGE_PAGE: usize = 512;
-
-/// Two-level PLB entry for a 2 MiB huge-page migration (§IV).
-///
-/// The first level tracks which 4 KiB chunks have fully migrated (a 512-bit
-/// bitmap, 64 B). The second level tracks the cachelines of the single chunk
-/// currently being copied (8 B). The huge page is migrated chunk by chunk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HugePagePlb {
-    /// First huge page number (2 MiB aligned, expressed in 4 KiB pages).
-    base_page: PageNumber,
-    /// Destination base page in host DRAM.
-    dest_base_page: PageNumber,
-    /// Bit *i* set ⇔ 4 KiB chunk *i* has fully migrated.
-    chunk_bitmap: [u64; CHUNKS_PER_HUGE_PAGE / 64],
-    /// Chunk currently under migration, if any.
-    current_chunk: Option<u16>,
-    /// Cacheline bitmap of the current chunk.
-    current_chunk_bitmap: u64,
-}
-
-impl HugePagePlb {
-    /// Starts a huge-page migration from `base_page` (must be 2 MiB aligned,
-    /// i.e. a multiple of 512 small pages) to `dest_base_page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_page` is not 2 MiB aligned.
-    pub fn new(base_page: PageNumber, dest_base_page: PageNumber) -> Self {
-        assert_eq!(
-            base_page.index() % CHUNKS_PER_HUGE_PAGE as u64,
-            0,
-            "huge page base must be 2 MiB aligned"
-        );
-        HugePagePlb {
-            base_page,
-            dest_base_page,
-            chunk_bitmap: [0; CHUNKS_PER_HUGE_PAGE / 64],
-            current_chunk: None,
-            current_chunk_bitmap: 0,
-        }
-    }
-
-    /// Begins migrating chunk `chunk` (0..512).
-    ///
-    /// # Panics
-    ///
-    /// Panics if another chunk is still in flight or `chunk` is out of range.
-    pub fn begin_chunk(&mut self, chunk: u16) {
-        assert!(
-            (chunk as usize) < CHUNKS_PER_HUGE_PAGE,
-            "chunk out of range"
-        );
-        assert!(self.current_chunk.is_none(), "a chunk is already migrating");
-        self.current_chunk = Some(chunk);
-        self.current_chunk_bitmap = 0;
-    }
-
-    /// Records that cacheline `cl` of the current chunk has been copied.
-    /// When all 64 cachelines are copied, the chunk is marked migrated and
-    /// the second-level entry is recycled; returns `true` in that case.
-    pub fn mark_cacheline(&mut self, cl: CachelineIndex) -> bool {
-        let chunk = self.current_chunk.expect("no chunk under migration");
-        self.current_chunk_bitmap |= 1u64 << (cl as usize % CACHELINES_PER_PAGE);
-        if self.current_chunk_bitmap == u64::MAX {
-            self.chunk_bitmap[chunk as usize / 64] |= 1u64 << (chunk % 64);
-            self.current_chunk = None;
-            self.current_chunk_bitmap = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the 4 KiB page `page` (inside this huge page) has fully
-    /// migrated to the host.
-    pub fn is_page_migrated(&self, page: PageNumber) -> bool {
-        let offset = page.index().wrapping_sub(self.base_page.index());
-        if offset >= CHUNKS_PER_HUGE_PAGE as u64 {
-            return false;
-        }
-        self.chunk_bitmap[offset as usize / 64] & (1u64 << (offset % 64)) != 0
-    }
-
-    /// Whether the entire huge page has migrated.
-    pub fn is_complete(&self) -> bool {
-        self.chunk_bitmap.iter().all(|w| *w == u64::MAX) && self.current_chunk.is_none()
-    }
-
-    /// Number of fully migrated 4 KiB chunks.
-    pub fn migrated_chunks(&self) -> u32 {
-        self.chunk_bitmap.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// The host destination page for a given source page inside the huge
-    /// page.
-    pub fn destination_of(&self, page: PageNumber) -> PageNumber {
-        let offset = page.index() - self.base_page.index();
-        PageNumber(self.dest_base_page.index() + offset)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,49 +209,5 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn rejects_empty_plb() {
         let _ = PromotionLookasideBuffer::new(0);
-    }
-
-    #[test]
-    fn huge_page_chunk_by_chunk() {
-        let mut h = HugePagePlb::new(PageNumber(512), PageNumber(4096));
-        assert_eq!(h.migrated_chunks(), 0);
-        h.begin_chunk(0);
-        for cl in 0..63u8 {
-            assert!(!h.mark_cacheline(cl));
-        }
-        assert!(h.mark_cacheline(63), "last cacheline completes the chunk");
-        assert_eq!(h.migrated_chunks(), 1);
-        assert!(h.is_page_migrated(PageNumber(512)));
-        assert!(!h.is_page_migrated(PageNumber(513)));
-        assert!(!h.is_page_migrated(PageNumber(2000)));
-        assert!(!h.is_complete());
-        assert_eq!(h.destination_of(PageNumber(513)), PageNumber(4097));
-    }
-
-    #[test]
-    fn huge_page_completes_after_all_chunks() {
-        let mut h = HugePagePlb::new(PageNumber(0), PageNumber(10_000));
-        for chunk in 0..CHUNKS_PER_HUGE_PAGE as u16 {
-            h.begin_chunk(chunk);
-            for cl in 0..64u8 {
-                h.mark_cacheline(cl);
-            }
-        }
-        assert!(h.is_complete());
-        assert_eq!(h.migrated_chunks(), 512);
-    }
-
-    #[test]
-    #[should_panic(expected = "aligned")]
-    fn huge_page_requires_alignment() {
-        let _ = HugePagePlb::new(PageNumber(5), PageNumber(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "already migrating")]
-    fn huge_page_one_chunk_at_a_time() {
-        let mut h = HugePagePlb::new(PageNumber(0), PageNumber(0));
-        h.begin_chunk(0);
-        h.begin_chunk(1);
     }
 }

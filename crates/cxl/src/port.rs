@@ -1,6 +1,5 @@
-//! CXL link and protocol timing, plus transaction-tag allocation.
+//! CXL link and protocol timing.
 
-use crate::message::Tag;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{Nanos, CACHELINE_SIZE};
 
@@ -138,47 +137,6 @@ impl CxlPort {
     }
 }
 
-/// Allocates 16-bit CXL.mem transaction tags, recycling released tags.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TagAllocator {
-    next: u16,
-    free: Vec<Tag>,
-    outstanding: u32,
-}
-
-impl TagAllocator {
-    /// Creates an allocator with no tags outstanding.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates a tag; returns `None` if all 65 536 tags are in flight.
-    pub fn allocate(&mut self) -> Option<Tag> {
-        if let Some(t) = self.free.pop() {
-            self.outstanding += 1;
-            return Some(t);
-        }
-        if self.outstanding > u32::from(u16::MAX) {
-            return None;
-        }
-        let t = self.next;
-        self.next = self.next.wrapping_add(1);
-        self.outstanding += 1;
-        Some(t)
-    }
-
-    /// Releases a tag for reuse.
-    pub fn release(&mut self, tag: Tag) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        self.free.push(tag);
-    }
-
-    /// Number of tags currently in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,29 +189,5 @@ mod tests {
     #[should_panic(expected = "bandwidth")]
     fn rejects_zero_bandwidth() {
         let _ = CxlPort::new(Nanos::new(40), 0);
-    }
-
-    #[test]
-    fn tag_allocation_recycles() {
-        let mut tags = TagAllocator::new();
-        let a = tags.allocate().unwrap();
-        let b = tags.allocate().unwrap();
-        assert_ne!(a, b);
-        assert_eq!(tags.outstanding(), 2);
-        tags.release(a);
-        assert_eq!(tags.outstanding(), 1);
-        let c = tags.allocate().unwrap();
-        assert_eq!(c, a, "released tags are reused");
-    }
-
-    #[test]
-    fn tag_exhaustion_returns_none() {
-        let mut tags = TagAllocator::new();
-        for _ in 0..=u16::MAX as u32 {
-            assert!(tags.allocate().is_some());
-        }
-        assert!(tags.allocate().is_none());
-        tags.release(0);
-        assert!(tags.allocate().is_some());
     }
 }

@@ -93,12 +93,10 @@ pub struct SsdStats {
     pub pages_promoted: u64,
     /// Dirty data written through to flash because the admission policy
     /// bypassed the page (zero under the default admit-all policy).
-    #[serde(default)]
     pub write_throughs: u64,
     /// Gauge: pages the hotness tracker currently holds state for (counters,
-    /// pending candidates, promoted marks). `None` in results pinned before
-    /// the tracker exposed it.
-    #[serde(default)]
+    /// pending candidates, promoted marks); `None` until the controller
+    /// first samples it.
     pub tracked_pages: Option<u64>,
 }
 

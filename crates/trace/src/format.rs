@@ -6,7 +6,7 @@
 //! ```text
 //! magic   8 bytes   b"SBTRACE\0"
 //! version varint    format version (1, or 2 when a tenant table follows)
-//! threads varint    number of thread streams
+//! threads varint    number of thread streams (1..=MAX_TRACE_THREADS)
 //! footprint varint  workload footprint in bytes (provenance)
 //! seed    varint    generator seed (provenance)
 //! source  varint n + n bytes   UTF-8 identity of the producing source
@@ -60,6 +60,13 @@ pub const FORMAT_VERSION: u32 = 1;
 /// header carries a table.
 pub const TENANT_FORMAT_VERSION: u32 = 2;
 
+/// The largest thread count a trace header may declare: the simulator's own
+/// limit ([`skybyte_types::MAX_THREADS`]), so every simulable stream count
+/// is readable. Readers allocate per-thread state from the header, so a
+/// larger count is rejected as [`TraceError::Corrupt`] before anything is
+/// allocated.
+pub const MAX_TRACE_THREADS: u32 = skybyte_types::MAX_THREADS;
+
 /// Records buffered per chunk by the writer before flushing.
 const CHUNK_RECORDS: u64 = 512;
 
@@ -107,6 +114,9 @@ impl TraceHeader {
     /// [`MAX_SOURCE_IDENTITY_BYTES`] are truncated so the file stays
     /// readable (the reader rejects longer ones as corrupt).
     fn write_to<W: Write>(&self, out: &mut W) -> Result<(), TraceError> {
+        if self.threads > MAX_TRACE_THREADS {
+            return Err(TraceError::Corrupt("thread count out of range"));
+        }
         let source = clip_identity(&self.source);
         let version = if self.tenant_of_thread.is_some() {
             TENANT_FORMAT_VERSION
@@ -157,7 +167,7 @@ impl TraceHeader {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let threads = varint::read_u64(input)?;
-        if threads == 0 || threads > u32::MAX as u64 {
+        if threads == 0 || threads > MAX_TRACE_THREADS as u64 {
             return Err(TraceError::Corrupt("thread count out of range"));
         }
         let footprint_bytes = varint::read_u64(input)?;
@@ -185,7 +195,8 @@ impl TraceHeader {
                     "tenant table length does not match thread count",
                 ));
             }
-            let mut table = Vec::with_capacity(len as usize);
+            // Grown by push: `len` is untrusted until the table is read.
+            let mut table = Vec::new();
             for _ in 0..len {
                 let tenant = varint::read_u64(input)?;
                 if tenant >= threads {
@@ -716,6 +727,37 @@ mod tests {
     }
 
     #[test]
+    fn huge_thread_counts_are_corrupt_not_an_allocation() {
+        // 17 bytes: magic, version 1, threads = 2^32 - 1, footprint 0,
+        // seed 0, empty source. Readers allocate per-thread state from the
+        // header, so this used to request 32 GiB and abort the process.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00, 0x00, 0x00]);
+        assert_eq!(bytes.len(), 17);
+        assert!(matches!(
+            TraceReader::new(bytes.as_slice()),
+            Err(TraceError::Corrupt("thread count out of range"))
+        ));
+        assert!(matches!(
+            ThreadReader::new(bytes.as_slice(), 0),
+            Err(TraceError::Corrupt("thread count out of range"))
+        ));
+        // The bound itself is readable; one past it is not, on either side.
+        let at_limit = encode(MAX_TRACE_THREADS, &[]);
+        assert_eq!(
+            TraceReader::new(at_limit.as_slice())
+                .unwrap()
+                .header()
+                .threads,
+            MAX_TRACE_THREADS
+        );
+        assert!(matches!(
+            TraceWriter::new(Vec::new(), &header(MAX_TRACE_THREADS + 1)),
+            Err(TraceError::Corrupt("thread count out of range"))
+        ));
+    }
+
+    #[test]
     fn every_truncation_point_is_a_typed_error_never_a_panic() {
         let records: Vec<(u32, TraceRecord)> = (0..40u64)
             .map(|i| ((i % 2) as u32, TraceRecord::write(i, u64::MAX - i * 7)))
@@ -806,6 +848,41 @@ mod tests {
             let cut = (bytes.len() as u64 * cut_permille as u64 / 1000) as usize;
             if let Ok(mut r) = TraceReader::new(&bytes[..cut]) {
                 while let Ok(Some(_)) = r.next() {}
+            }
+        }
+
+        #[test]
+        fn mutated_files_read_to_a_clean_end_or_a_typed_error(
+            edits in proptest::collection::vec((0u8..3, any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            // Flip, insert or delete bytes anywhere in a valid tiny file
+            // (header, tenant table or chunks): both readers must end in
+            // `Ok` or a typed `TraceError`, never a panic or an abort.
+            let mut h = header(2);
+            h.tenant_of_thread = Some(vec![0, 1]);
+            let mut w = TraceWriter::new(Vec::new(), &h).unwrap();
+            for i in 0..6u64 {
+                w.push((i % 2) as u32, &TraceRecord::write(i, i * 4096 + 64)).unwrap();
+            }
+            let mut bytes = w.finish().unwrap();
+            for (op, pos, byte) in edits {
+                let at = pos % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] ^= byte.max(1),
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            if let Ok(mut r) = TraceReader::new(bytes.as_slice()) {
+                while let Ok(Some(_)) = r.next() {}
+            }
+            for thread in 0..2 {
+                if let Ok(mut r) = ThreadReader::new(bytes.as_slice(), thread) {
+                    while let Ok(Some(_)) = r.next() {}
+                }
             }
         }
     }

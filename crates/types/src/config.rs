@@ -28,6 +28,11 @@ pub const MIB: u64 = 1 << 20;
 /// Size of one gibibyte in bytes.
 pub const GIB: u64 = 1 << 30;
 
+/// The largest thread count [`SimConfig::validate`] accepts. Trace readers
+/// reject headers declaring more streams against the same bound, so an
+/// untrusted file cannot make them allocate per-thread state without limit.
+pub const MAX_THREADS: u32 = 4096;
+
 // ---------------------------------------------------------------------------
 // CPU
 // ---------------------------------------------------------------------------
@@ -893,7 +898,7 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first violated invariant:
-    /// zero cores/threads, empty caches, a write log that does not hold at
+    /// zero cores/threads, more than [`MAX_THREADS`] threads, empty caches, a write log that does not hold at
     /// least one page worth of cachelines, GC thresholds outside `(0, 1]`,
     /// or zero-latency flash.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -902,6 +907,11 @@ impl SimConfig {
         }
         if self.threads == 0 {
             return Err(ConfigError::new("threads must be at least 1"));
+        }
+        if self.threads > MAX_THREADS {
+            return Err(ConfigError::new(format!(
+                "threads must be at most {MAX_THREADS}"
+            )));
         }
         if self.cpu.base_ipc <= 0.0 {
             return Err(ConfigError::new("cpu.base_ipc must be positive"));
@@ -1145,6 +1155,14 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(cfg.validate().is_err());
+        assert!(SimConfig::default()
+            .with_threads(MAX_THREADS)
+            .validate()
+            .is_ok());
+        assert!(SimConfig::default()
+            .with_threads(MAX_THREADS + 1)
+            .validate()
+            .is_err());
 
         let mut cfg = SimConfig::default();
         cfg.ssd.dram.write_log_bytes = 100;

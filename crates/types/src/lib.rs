@@ -79,7 +79,8 @@ pub use audit::{AuditReport, Violation};
 pub use config::{
     CacheLevelConfig, CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig,
     MigrationConfig, MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig,
-    SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MIB,
+    SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MAX_THREADS,
+    MIB,
 };
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
