@@ -196,7 +196,7 @@ impl MigrationEngine {
     /// Creates the engine for the configuration's migration policy and host
     /// DRAM promotion budget.
     pub fn new(cfg: &SimConfig) -> Self {
-        let policy = if cfg.promotion_enable {
+        let policy = if cfg.variant.migration_policy() != MigrationPolicyKind::Disabled {
             cfg.migration.policy
         } else {
             MigrationPolicyKind::Disabled

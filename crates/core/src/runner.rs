@@ -385,9 +385,9 @@ impl Runner {
     /// # Panics
     ///
     /// Propagates a panic from any simulation this call executes (e.g. an
-    /// invalid configuration). A panicking run leaves its fingerprint
-    /// claimed, so the runner must be discarded afterwards — a concurrent
-    /// caller waiting on that fingerprint would block forever.
+    /// invalid configuration), after releasing every fingerprint it claimed
+    /// but did not complete, so a later call re-runs them. Panics as well
+    /// while waiting on a fingerprint whose concurrent run panicked.
     pub fn run_all(&self, reqs: &[RunRequest]) -> Vec<Arc<SimResult>> {
         // Decorate requests with this runner's policy overrides; the
         // overrides mutate each request's configuration and therefore its
@@ -435,6 +435,10 @@ impl Runner {
                 })
                 .collect()
         };
+        let _claims = Claims {
+            runner: self,
+            claimed: &claimed,
+        };
         if self.jobs == 1 || claimed.len() == 1 {
             // Sequential path: run inline, in enumeration order.
             for req in &claimed {
@@ -465,6 +469,16 @@ impl Runner {
                     results.push(Arc::clone(hit));
                     break;
                 }
+                if !state.in_flight.contains(r.fingerprint()) {
+                    // Unlock first: panicking with the guard held would
+                    // poison the memo table for every other caller.
+                    drop(state);
+                    panic!(
+                        "the concurrent run of {}/{} panicked without a result",
+                        r.simulation().config().variant,
+                        r.simulation().workload()
+                    );
+                }
                 state = self
                     .finished
                     .wait(state)
@@ -479,17 +493,14 @@ impl Runner {
         let started = Instant::now();
         // Telemetry is observe-only and excluded from fingerprints, so the
         // result published under this fingerprint is bit-identical whether
-        // or not telemetry rode along with the execution.
-        let (result, telemetry) = if self.telemetry.enabled {
-            let mut sim = req.simulation().clone();
-            sim.config_mut().telemetry = self.telemetry;
-            let (result, telemetry) = sim
-                .try_run_with_telemetry()
-                .expect("trace drive failed during telemetry run");
-            (Arc::new(result), telemetry)
-        } else {
-            (Arc::new(req.simulation().run()), None)
-        };
+        // or not telemetry rode along with the execution (`None` when
+        // capture is off).
+        let mut sim = req.simulation().clone();
+        sim.config_mut().telemetry = self.telemetry;
+        let (result, telemetry) = sim
+            .try_run_with_telemetry()
+            .unwrap_or_else(|e| panic!("trace drive failed: {e}"));
+        let result = Arc::new(result);
         let wall = started.elapsed();
         self.runs_executed.fetch_add(1, Ordering::Relaxed);
         {
@@ -544,6 +555,33 @@ impl Runner {
         state.done.insert(req.fingerprint().to_string(), result);
         drop(state);
         self.finished.notify_all();
+    }
+}
+
+/// The fingerprints one `run_all` call claimed. If the call unwinds, the
+/// claims it did not complete are released and waiters woken, so the runner
+/// stays usable and no concurrent caller blocks on a run that will never
+/// publish.
+struct Claims<'a> {
+    runner: &'a Runner,
+    claimed: &'a [&'a RunRequest],
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let mut state = self
+            .runner
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for r in self.claimed {
+            state.in_flight.remove(r.fingerprint());
+        }
+        drop(state);
+        self.runner.finished.notify_all();
     }
 }
 
@@ -716,6 +754,33 @@ mod tests {
             RunRequest::from_simulation(sim)
         };
         assert_ne!(req.fingerprint(), decorated.fingerprint());
+    }
+
+    #[test]
+    fn a_panicking_run_releases_its_claim() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+        let scale = tiny();
+        let mut cfg = scale.apply(SimConfig::default());
+        cfg.ssd.gc_threshold = 0.0; // fails validation when the run starts
+        let req = RunRequest::with_config(cfg, WorkloadKind::Ycsb, &scale);
+        let runner = Arc::new(Runner::new(1));
+        let first = catch_unwind(AssertUnwindSafe(|| runner.run(&req)));
+        assert!(first.is_err(), "an invalid configuration must panic");
+        // Re-running on the same runner must panic again, not wait forever
+        // on a claim the first run left behind.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let again = Arc::clone(&runner);
+        std::thread::spawn(move || {
+            let rerun = catch_unwind(AssertUnwindSafe(|| again.run(&req)));
+            tx.send(rerun.is_err()).ok();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("re-running a panicked request hung on its stale claim");
+        assert!(panicked);
+        assert_eq!(runner.runs_executed(), 0);
+        assert_eq!(runner.memoized_results(), 0);
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl SystemState {
         }
 
         // Precondition the SSD so garbage collection can trigger (§VI-A).
-        if !cfg.infinite_host_dram {
+        if !cfg.variant.dram_only() {
             let precondition_pages =
                 ((footprint_pages as f64 * precondition_fraction) as u64).min(ssd.logical_pages());
             ssd.precondition((0..precondition_pages).map(Lpa::new));
@@ -505,7 +505,7 @@ impl SystemState {
         let walk = self.tlb.access(vpage);
         self.boundedness[core].memory += walk;
         t += walk;
-        let placement = if self.cfg.infinite_host_dram {
+        let placement = if self.cfg.variant.dram_only() {
             PagePlacement::HostDram(PageNumber(vpage.index()))
         } else {
             self.page_table.translate(vpage)
@@ -530,7 +530,7 @@ impl SystemState {
         counters.amat.accesses += 1;
         counters.requests.host += 1;
         counters.latency_hist.record(latency);
-        if !self.cfg.infinite_host_dram {
+        if !self.cfg.variant.dram_only() {
             self.migration.record_host_access(Lpa::new(vpage.index()));
         }
         t
@@ -563,19 +563,15 @@ impl SystemState {
                 self.ssd.ftl_stats().gc_campaigns,
             )
         });
-        let appends_before = (self.log_partitions.is_some() && unit.access.kind.is_write())
-            .then(|| self.ssd.stats().write_log_appends);
         let outcome = if unit.access.kind.is_write() {
             self.ssd.handle_write(lpa, cl, arrival)
         } else {
             self.ssd.handle_read(lpa, cl, arrival)
         };
-        if let Some(before) = appends_before {
-            let delta = self.ssd.stats().write_log_appends - before;
+        // A logged write appends to the write log exactly once.
+        if unit.access.kind.is_write() && outcome.served_by == ServedBy::WriteLog {
             if let Some(parts) = self.log_partitions.as_mut() {
-                for _ in 0..delta {
-                    parts.note_append(tenant);
-                }
+                parts.note_append(tenant);
             }
         }
         self.migration.record_ssd_access(lpa, t);
@@ -592,21 +588,7 @@ impl SystemState {
                 }
             }
         }
-        let will_switch = outcome.delay_hint && self.cfg.device_triggered_ctx_swt;
-        if !will_switch {
-            // Squashed accesses are excluded; their replays are classified
-            // when they retire (§VI-D).
-            let counters = &mut self.per_tenant[tenant];
-            if unit.access.kind.is_write() {
-                counters.requests.ssd_write += 1;
-            } else if outcome.served_by == ServedBy::Flash {
-                counters.requests.ssd_read_miss += 1;
-            } else {
-                counters.requests.ssd_read_hit += 1;
-            }
-        }
-
-        if will_switch {
+        if outcome.delay_hint {
             // Long Delay Exception: squash, block, switch.
             let counters = &mut self.per_tenant[tenant];
             counters.squashed_accesses += 1;
@@ -614,7 +596,7 @@ impl SystemState {
             let cs = self.cfg.context_switch_overhead;
             self.boundedness[core].context_switch += cs;
             self.execs[tid.0 as usize].push_back(unit);
-            let wake = outcome.ready_at.max(outcome.estimated_ready_at);
+            let wake = outcome.ready_at;
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.context_switch(core, t, tid.0, wake);
             }
@@ -624,8 +606,18 @@ impl SystemState {
             // runnable): parked cores may have something to react to.
             self.sched_dirty = true;
             t += cs;
-            // The squashed access is excluded from AMAT (§VI-D).
+            // The squashed access is excluded from AMAT and the request
+            // classification; its replay is classified when it retires
+            // (§VI-D).
         } else {
+            let counters = &mut self.per_tenant[tenant];
+            if unit.access.kind.is_write() {
+                counters.requests.ssd_write += 1;
+            } else if outcome.served_by == ServedBy::Flash {
+                counters.requests.ssd_read_miss += 1;
+            } else {
+                counters.requests.ssd_read_hit += 1;
+            }
             let response = if unit.access.kind.is_write() {
                 // A write completion carries no payload back to the host;
                 // it is a response, not a new request.

@@ -14,20 +14,20 @@ use skybyte_types::{CachelineIndex, FastHashMap, Lpa, Nanos, SimConfig};
 pub struct SsdAccessOutcome {
     /// Time at which the data is ready in the SSD DRAM (reads) or the write
     /// has been durably accepted by the controller.
+    ///
+    /// With a delay hint this is also the wake-up time the `SkyByte-Delay`
+    /// response carries to the OS. The controller has already queued the
+    /// flash fill when it answers, so it is the scheduled completion of that
+    /// fill (Algorithm 1's queue-counter estimate is only the trigger
+    /// heuristic — it deliberately over-counts programs/erases that reads
+    /// pre-empt, and waking on it would oversleep).
     pub ready_at: Nanos,
     /// Which structure served the access.
     pub served_by: ServedBy,
     /// Whether the controller answers with the `SkyByte-Delay` NDR opcode
-    /// instead of making the host wait.
+    /// instead of making the host wait. Only set when the variant enables
+    /// the coordinated context switch.
     pub delay_hint: bool,
-    /// With a delay hint: the controller's estimate of when the data will be
-    /// ready in SSD DRAM, carried in the `SkyByte-Delay` response so the OS
-    /// can schedule the wake-up. The controller has already queued the flash
-    /// fill when it answers, so the estimate is the scheduled completion of
-    /// that fill (Algorithm 1's queue-counter estimate is only the trigger
-    /// heuristic — it deliberately over-counts programs/erases that reads
-    /// pre-empt, and waking on it would oversleep).
-    pub estimated_ready_at: Nanos,
     /// Device-side latency breakdown (Figure 17 components).
     pub breakdown: AccessBreakdown,
 }
@@ -45,8 +45,7 @@ pub struct SsdController {
     hotness: HotnessTracker,
     trigger: ThresholdPolicy,
 
-    device_triggered_ctx_swt: bool,
-    prefetch_enable: bool,
+    context_switch: bool,
     dram_latency: Nanos,
     log_index_latency: Nanos,
     cache_index_latency: Nanos,
@@ -68,10 +67,13 @@ pub struct SsdController {
 }
 
 impl SsdController {
-    /// Builds a controller from the simulator configuration. The write log is
-    /// instantiated only when `cfg.write_log_enable` is set (SkyByte-W and
-    /// derived variants); otherwise the controller behaves as the Base-CSSD
-    /// page-granular design.
+    /// Builds a controller from the simulator configuration. The variant
+    /// decides the design: the write log is instantiated only when
+    /// [`VariantKind::write_log`](skybyte_types::VariantKind::write_log) holds
+    /// (SkyByte-W and derived variants), otherwise the controller behaves as
+    /// the Base-CSSD page-granular design; delay hints are sent only when
+    /// [`VariantKind::context_switch`](skybyte_types::VariantKind::context_switch)
+    /// holds.
     ///
     /// # Panics
     ///
@@ -80,17 +82,13 @@ impl SsdController {
     pub fn new(cfg: &SimConfig) -> Self {
         cfg.validate().expect("invalid simulator configuration");
         let ssd = &cfg.ssd;
-        let write_log = if cfg.write_log_enable {
-            Some(WriteLog::new(
-                ssd.dram.write_log_bytes,
-                ssd.dram.index_resize_load_factor,
-            ))
-        } else {
-            None
-        };
+        let write_log = cfg
+            .variant
+            .write_log()
+            .then(|| WriteLog::new(ssd.dram.write_log_bytes, ssd.dram.index_resize_load_factor));
         // When the write log is disabled its DRAM budget goes to the data
         // cache so every variant uses the same total SSD DRAM (§VI-A).
-        let cache_bytes = if cfg.write_log_enable {
+        let cache_bytes = if write_log.is_some() {
             ssd.dram.data_cache_bytes
         } else {
             ssd.dram.data_cache_bytes + ssd.dram.write_log_bytes
@@ -109,9 +107,8 @@ impl SsdController {
             ),
             hotness: HotnessTracker::new(cfg.policy.hotness, cfg.migration.hotness_threshold),
             trigger: ThresholdPolicy::new(cfg.cs_threshold),
-            device_triggered_ctx_swt: cfg.device_triggered_ctx_swt,
-            prefetch_enable: true,
-            dram_latency: ssd.dram.timing.access_latency,
+            context_switch: cfg.variant.context_switch(),
+            dram_latency: ssd.dram.access_latency,
             log_index_latency: ssd.dram.write_log_index_latency,
             cache_index_latency: ssd.dram.data_cache_index_latency,
             mshr_capacity: ssd.dram.mshrs as usize,
@@ -145,79 +142,31 @@ impl SsdController {
         if let Some(log) = &mut self.write_log {
             if log.lookup(lpa, cl).is_some() {
                 self.stats.read_log_hits += 1;
-                return SsdAccessOutcome {
-                    ready_at: t_indexed + self.dram_latency,
-                    served_by: ServedBy::WriteLog,
-                    delay_hint: false,
-                    estimated_ready_at: Nanos::ZERO,
-                    breakdown: AccessBreakdown {
-                        indexing: index_latency,
-                        ssd_dram: self.dram_latency,
-                        flash: Nanos::ZERO,
-                    },
-                };
+                return self.dram_served(ServedBy::WriteLog, now, index_latency);
             }
         }
 
         // R1: data-cache hit.
         if self.data_cache.access(lpa, cl) {
             self.stats.read_cache_hits += 1;
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::DataCache,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.dram_served(ServedBy::DataCache, now, index_latency);
         }
 
         // Never-written pages are served as zeroes straight from DRAM.
         if !self.ftl.is_mapped(lpa) {
             self.stats.read_zero_fills += 1;
             self.insert_page_into_cache(lpa, t_indexed);
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::ZeroFill,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.dram_served(ServedBy::ZeroFill, now, index_latency);
         }
 
         // R3: flash fetch required.
         self.stats.read_flash_misses += 1;
-        let decision = self
-            .trigger
-            .should_context_switch(lpa, now, &self.ftl, &self.flash);
+        let delay_hint = self.delay_hint(lpa, now);
         let flash_ready = self.fetch_page(lpa, t_indexed);
         self.insert_page_into_cache(lpa, flash_ready);
         self.data_cache.access(lpa, cl);
         self.maybe_prefetch(lpa, flash_ready);
-
-        let ready_at = flash_ready + self.dram_latency;
-        let delay_hint = self.device_triggered_ctx_swt && decision.trigger;
-        if delay_hint {
-            self.stats.delay_hints += 1;
-        }
-        SsdAccessOutcome {
-            ready_at,
-            served_by: ServedBy::Flash,
-            delay_hint,
-            estimated_ready_at: flash_ready + self.dram_latency,
-            breakdown: AccessBreakdown {
-                indexing: index_latency,
-                ssd_dram: self.dram_latency,
-                flash: flash_ready.since(t_indexed),
-            },
-        }
+        self.flash_served(t_indexed, index_latency, flash_ready, delay_hint)
     }
 
     /// Handles a cacheline write arriving at the controller at `now`
@@ -259,18 +208,7 @@ impl SsdController {
         if outcome.log_full {
             self.execute_compaction(now);
         }
-
-        SsdAccessOutcome {
-            ready_at: now + self.log_index_latency + self.dram_latency,
-            served_by: ServedBy::WriteLog,
-            delay_hint: false,
-            estimated_ready_at: Nanos::ZERO,
-            breakdown: AccessBreakdown {
-                indexing: self.log_index_latency,
-                ssd_dram: self.dram_latency,
-                flash: Nanos::ZERO,
-            },
-        }
+        self.dram_served(ServedBy::WriteLog, now, self.log_index_latency)
     }
 
     /// Base-CSSD write path: the DRAM cache is page-granular, so a write miss
@@ -289,17 +227,7 @@ impl SsdController {
         if self.data_cache.access(lpa, cl) {
             self.data_cache.mark_dirty(lpa, cl);
             self.stats.write_cache_hits += 1;
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::DataCache,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.dram_served(ServedBy::DataCache, now, index_latency);
         }
 
         if !self.ftl.is_mapped(lpa) {
@@ -310,44 +238,17 @@ impl SsdController {
                 // be buffered, so it goes straight to flash.
                 self.write_through(lpa, t_indexed);
             }
-            return SsdAccessOutcome {
-                ready_at: t_indexed + self.dram_latency,
-                served_by: ServedBy::ZeroFill,
-                delay_hint: false,
-                estimated_ready_at: Nanos::ZERO,
-                breakdown: AccessBreakdown {
-                    indexing: index_latency,
-                    ssd_dram: self.dram_latency,
-                    flash: Nanos::ZERO,
-                },
-            };
+            return self.dram_served(ServedBy::ZeroFill, now, index_latency);
         }
 
         self.stats.write_flash_misses += 1;
-        let decision = self
-            .trigger
-            .should_context_switch(lpa, now, &self.ftl, &self.flash);
+        let delay_hint = self.delay_hint(lpa, now);
         let flash_ready = self.fetch_page(lpa, t_indexed);
         self.insert_page_into_cache(lpa, flash_ready);
         if !self.data_cache.mark_dirty(lpa, cl) {
             self.write_through(lpa, flash_ready);
         }
-
-        let delay_hint = self.device_triggered_ctx_swt && decision.trigger;
-        if delay_hint {
-            self.stats.delay_hints += 1;
-        }
-        SsdAccessOutcome {
-            ready_at: flash_ready + self.dram_latency,
-            served_by: ServedBy::Flash,
-            delay_hint,
-            estimated_ready_at: flash_ready + self.dram_latency,
-            breakdown: AccessBreakdown {
-                indexing: index_latency,
-                ssd_dram: self.dram_latency,
-                flash: flash_ready.since(t_indexed),
-            },
-        }
+        self.flash_served(t_indexed, index_latency, flash_ready, delay_hint)
     }
 
     /// Removes a page from the SSD caches because it has been promoted to
@@ -413,13 +314,6 @@ impl SsdController {
     /// (§VI-A preconditioning so GC triggers during measurement).
     pub fn precondition<I: IntoIterator<Item = Lpa>>(&mut self, lpas: I) {
         self.ftl.precondition(lpas);
-    }
-
-    /// Evaluates the context-switch trigger policy for a prospective read of
-    /// `lpa` without performing the access.
-    pub fn evaluate_trigger(&self, lpa: Lpa, now: Nanos) -> crate::trigger::TriggerDecision {
-        self.trigger
-            .should_context_switch(lpa, now, &self.ftl, &self.flash)
     }
 
     /// Controller statistics.
@@ -532,6 +426,60 @@ impl SsdController {
     // Internals
     // ------------------------------------------------------------------
 
+    /// Outcome of an access served from SSD DRAM: `indexing` of index
+    /// lookup from `now`, then one SSD-DRAM access. No flash, no hint.
+    fn dram_served(&self, served_by: ServedBy, now: Nanos, indexing: Nanos) -> SsdAccessOutcome {
+        SsdAccessOutcome {
+            ready_at: now + indexing + self.dram_latency,
+            served_by,
+            delay_hint: false,
+            breakdown: AccessBreakdown {
+                indexing,
+                ssd_dram: self.dram_latency,
+                flash: Nanos::ZERO,
+            },
+        }
+    }
+
+    /// Outcome of an access that waited for a flash fill: indexed at
+    /// `t_indexed` after `indexing`, page in SSD DRAM at `flash_ready`, then
+    /// one SSD-DRAM access.
+    fn flash_served(
+        &self,
+        t_indexed: Nanos,
+        indexing: Nanos,
+        flash_ready: Nanos,
+        delay_hint: bool,
+    ) -> SsdAccessOutcome {
+        SsdAccessOutcome {
+            ready_at: flash_ready + self.dram_latency,
+            served_by: ServedBy::Flash,
+            delay_hint,
+            breakdown: AccessBreakdown {
+                indexing,
+                ssd_dram: self.dram_latency,
+                flash: flash_ready.since(t_indexed),
+            },
+        }
+    }
+
+    /// Decides the `SkyByte-Delay` hint for a flash-bound access of `lpa`
+    /// arriving at `now` (Algorithm 1). The trigger policy is evaluated only
+    /// when the variant enables the coordinated context switch, and before
+    /// the fill is queued, so its estimate counts the commands already
+    /// waiting on the channel.
+    fn delay_hint(&mut self, lpa: Lpa, now: Nanos) -> bool {
+        let hint = self.context_switch
+            && self
+                .trigger
+                .should_context_switch(lpa, now, &self.ftl, &self.flash)
+                .trigger;
+        if hint {
+            self.stats.delay_hints += 1;
+        }
+        hint
+    }
+
     fn read_index_latency(&self) -> Nanos {
         if self.write_log.is_some() {
             // Parallel lookup of both indexes: the slower one dominates.
@@ -615,9 +563,6 @@ impl SsdController {
     /// Simple next-page prefetcher (one of the Base-CSSD optimisations the
     /// paper's baseline incorporates).
     fn maybe_prefetch(&mut self, lpa: Lpa, at: Nanos) {
-        if !self.prefetch_enable {
-            return;
-        }
         let next = Lpa::new(lpa.index() + 1);
         if next.index() >= self.logical_pages
             || self.data_cache.contains(next)
@@ -776,7 +721,9 @@ mod tests {
         ssd.precondition([Lpa::new(1)]);
         let out = ssd.handle_read(Lpa::new(1), 0, Nanos::ZERO);
         assert!(out.delay_hint);
-        assert!(out.estimated_ready_at >= Nanos::from_micros(3));
+        // The hint's wake-up time is the queued fill's completion.
+        assert!(out.ready_at >= Nanos::from_micros(3));
+        assert_eq!(out.breakdown.total(), out.ready_at);
         assert_eq!(ssd.stats().delay_hints, 1);
 
         // SSD-DRAM hits never send hints.
@@ -945,12 +892,8 @@ mod tests {
         let b = ssd.handle_read(Lpa::new(7), 1, Nanos::new(100));
         // The page fill is shared; no additional *demand* read is issued for
         // the same page (prefetches may add reads for other pages).
-        assert!(b.ready_at <= a.ready_at + ssd_dram(&cfg));
+        assert!(b.ready_at <= a.ready_at + cfg.ssd.dram.access_latency);
         assert!(ssd.flash_stats().pages_read <= reads_after_first + 1);
-    }
-
-    fn ssd_dram(cfg: &SimConfig) -> Nanos {
-        cfg.ssd.dram.timing.access_latency
     }
 
     #[test]
@@ -960,16 +903,5 @@ mod tests {
         let raw = cfg.ssd.geometry.total_pages();
         assert!(ssd.logical_pages() < raw);
         assert!(ssd.logical_pages() > raw * 9 / 10 - 1);
-    }
-
-    #[test]
-    fn evaluate_trigger_matches_handle_read_decision() {
-        let cfg = small_cfg(VariantKind::SkyByteFull);
-        let mut ssd = SsdController::new(&cfg);
-        ssd.precondition([Lpa::new(11)]);
-        let d = ssd.evaluate_trigger(Lpa::new(11), Nanos::ZERO);
-        assert!(d.trigger);
-        let out = ssd.handle_read(Lpa::new(11), 0, Nanos::ZERO);
-        assert!(out.delay_hint);
     }
 }

@@ -1,9 +1,8 @@
 //! The SkyByte CXL-SSD controller.
 //!
 //! This crate assembles the substrates — the NAND array ([`skybyte_flash`]),
-//! the FTL ([`skybyte_ftl`]), the CXL-aware SSD DRAM ([`skybyte_cache`]) and
-//! the CXL message model ([`skybyte_cxl`]) — into the device-side half of
-//! SkyByte:
+//! the FTL ([`skybyte_ftl`]) and the CXL-aware SSD DRAM ([`skybyte_cache`]) —
+//! into the device-side half of SkyByte:
 //!
 //! * [`SsdController`] serves cacheline reads and writes arriving over
 //!   CXL.mem, following the R1/R2/R3 and W1/W2/W3 paths of Figure 11 when the
@@ -11,7 +10,8 @@
 //!   Base-CSSD baseline when it is not;
 //! * [`ThresholdPolicy`] implements Algorithm 1, estimating the delay of a
 //!   flash access from the per-channel queue occupancy and deciding whether to
-//!   answer with the `SkyByte-Delay` NDR opcode;
+//!   answer with the `SkyByte-Delay` NDR opcode (the controller asks it only
+//!   when the variant enables the coordinated context switch);
 //! * the [`HotnessPolicy`] seam nominates promotion candidates for the
 //!   adaptive page-migration mechanism (§III-C) — [`HotPageTracker`] is the
 //!   paper's exact threshold counter; [`DecayTracker`] and [`TopKTracker`]

@@ -6,9 +6,9 @@
 //!
 //! | artifact knob | field |
 //! |---|---|
-//! | `promotion_enable` | [`SimConfig::promotion_enable`] |
-//! | `write_log_enable` | [`SimConfig::write_log_enable`] |
-//! | `device_triggered_ctx_swt` | [`SimConfig::device_triggered_ctx_swt`] |
+//! | `promotion_enable` | [`VariantKind::migration_policy`] `!= Disabled` |
+//! | `write_log_enable` | [`VariantKind::write_log`] |
+//! | `device_triggered_ctx_swt` | [`VariantKind::context_switch`] |
 //! | `cs_threshold` | [`SimConfig::cs_threshold`] |
 //! | `ssd_cache_size_byte` | [`SsdDramConfig::data_cache_bytes`] |
 //! | `ssd_cache_way` | [`SsdDramConfig::data_cache_ways`] |
@@ -36,31 +36,6 @@ pub const MAX_THREADS: u32 = 4096;
 // ---------------------------------------------------------------------------
 // CPU
 // ---------------------------------------------------------------------------
-
-/// Configuration of one level of the host cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheLevelConfig {
-    /// Capacity in bytes.
-    pub size_bytes: u64,
-    /// Associativity (number of ways).
-    pub ways: u32,
-    /// Number of miss-status holding registers.
-    pub mshrs: u32,
-    /// Hit latency contributed by this level.
-    pub hit_latency: Nanos,
-}
-
-impl CacheLevelConfig {
-    /// Number of 64-byte cachelines this level can hold.
-    pub fn capacity_lines(&self) -> u64 {
-        self.size_bytes / crate::addr::CACHELINE_SIZE as u64
-    }
-
-    /// Number of sets for the given associativity.
-    pub fn sets(&self) -> u64 {
-        (self.capacity_lines() / self.ways as u64).max(1)
-    }
-}
 
 /// Configuration of the data TLB shared by the simulated cores (modelled as
 /// fully associative with LRU replacement).
@@ -92,12 +67,6 @@ pub struct CpuConfig {
     /// Reorder-buffer entries per core; bounds how much latency the core can
     /// hide with out-of-order execution.
     pub rob_entries: u32,
-    /// Per-core L1 data cache.
-    pub l1d: CacheLevelConfig,
-    /// Per-core L2 cache.
-    pub l2: CacheLevelConfig,
-    /// Shared last-level cache.
-    pub llc: CacheLevelConfig,
     /// Data TLB backing the page-table walks of off-chip accesses.
     pub tlb: TlbConfig,
     /// Fraction of a thread's issued instructions that are memory operations
@@ -115,24 +84,6 @@ impl Default for CpuConfig {
             cores: 8,
             freq: Freq::from_ghz(4.0),
             rob_entries: 256,
-            l1d: CacheLevelConfig {
-                size_bytes: 32 * KIB,
-                ways: 8,
-                mshrs: 8,
-                hit_latency: Nanos::new(1),
-            },
-            l2: CacheLevelConfig {
-                size_bytes: 512 * KIB,
-                ways: 32,
-                mshrs: 128,
-                hit_latency: Nanos::new(4),
-            },
-            llc: CacheLevelConfig {
-                size_bytes: 16 * MIB,
-                ways: 16,
-                mshrs: 1024,
-                hit_latency: Nanos::new(12),
-            },
             tlb: TlbConfig::default(),
             mem_op_fraction: 0.3,
             base_ipc: 2.0,
@@ -144,7 +95,7 @@ impl Default for CpuConfig {
 // Host DRAM
 // ---------------------------------------------------------------------------
 
-/// DRAM timing model (used both for host DDR5 and SSD-internal LPDDR4).
+/// Host DRAM timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramTimingConfig {
     /// Average access latency for one cacheline.
@@ -162,15 +113,6 @@ impl DramTimingConfig {
             access_latency: Nanos::new(70),
             channels: 8,
             channel_bandwidth_bps: 32 * GIB,
-        }
-    }
-
-    /// LPDDR4-3200, 2 channels (SSD-internal DRAM in Table II).
-    pub fn lpddr4_ssd() -> Self {
-        DramTimingConfig {
-            access_latency: Nanos::new(90),
-            channels: 2,
-            channel_bandwidth_bps: 12 * GIB,
         }
     }
 
@@ -323,11 +265,6 @@ impl SsdGeometry {
     pub fn total_bytes(&self) -> u64 {
         self.total_pages() * self.page_size_bytes as u64
     }
-
-    /// Number of planes ("LUNs") that can operate independently.
-    pub fn total_planes(&self) -> u64 {
-        self.total_blocks() / self.blocks_per_plane as u64
-    }
 }
 
 impl Default for SsdGeometry {
@@ -349,8 +286,9 @@ impl Default for SsdGeometry {
 /// Configuration of the SSD-internal DRAM (write log + data cache).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SsdDramConfig {
-    /// DRAM timing of the SSD-internal memory.
-    pub timing: DramTimingConfig,
+    /// Average access latency of one cacheline in the SSD-internal LPDDR4
+    /// (90 ns).
+    pub access_latency: Nanos,
     /// Size of the page-granular read-write data cache, in bytes
     /// (448 MiB by default: 512 MiB SSD DRAM minus the 64 MiB write log).
     pub data_cache_bytes: u64,
@@ -381,7 +319,7 @@ impl SsdDramConfig {
 impl Default for SsdDramConfig {
     fn default() -> Self {
         SsdDramConfig {
-            timing: DramTimingConfig::lpddr4_ssd(),
+            access_latency: Nanos::new(90),
             data_cache_bytes: 448 * MIB,
             data_cache_ways: 16,
             write_log_bytes: 64 * MIB,
@@ -398,9 +336,7 @@ impl Default for SsdDramConfig {
 pub struct SsdConfig {
     /// Flash array organisation.
     pub geometry: SsdGeometry,
-    /// NAND family used (determines default `flash` timing).
-    pub nand_kind: NandKind,
-    /// NAND timing parameters.
+    /// NAND timing parameters (ULL by default; see [`SsdConfig::with_nand`]).
     pub flash: FlashTimingConfig,
     /// SSD-internal DRAM configuration.
     pub dram: SsdDramConfig,
@@ -425,7 +361,6 @@ impl Default for SsdConfig {
     fn default() -> Self {
         SsdConfig {
             geometry: SsdGeometry::default(),
-            nand_kind: NandKind::Ull,
             flash: FlashTimingConfig::default(),
             dram: SsdDramConfig::default(),
             cxl_protocol_latency: Nanos::new(40),
@@ -438,9 +373,8 @@ impl Default for SsdConfig {
 }
 
 impl SsdConfig {
-    /// Replaces the NAND family and updates the timing accordingly.
+    /// Replaces the flash timing with that of the given NAND family.
     pub fn with_nand(mut self, kind: NandKind) -> Self {
-        self.nand_kind = kind;
         self.flash = FlashTimingConfig::for_kind(kind);
         self
     }
@@ -739,8 +673,9 @@ impl fmt::Debug for TelemetryConfig {
 ///     .with_threads(24)
 ///     .with_cs_threshold(Nanos::from_micros(2));
 /// cfg.validate().unwrap();
-/// assert!(cfg.write_log_enable);
-/// assert!(cfg.device_triggered_ctx_swt);
+/// // The variant alone decides which SkyByte mechanisms are on.
+/// assert!(cfg.variant.write_log());
+/// assert!(cfg.variant.context_switch());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -756,34 +691,25 @@ pub struct SimConfig {
     pub sched_policy: SchedPolicy,
     /// Number of application threads to run.
     pub threads: u32,
-    /// Enable adaptive page promotion (artifact knob `promotion_enable`).
-    pub promotion_enable: bool,
-    /// Enable the cacheline-granular write log (artifact knob
-    /// `write_log_enable`).
-    pub write_log_enable: bool,
-    /// Enable SSD-triggered coordinated context switches (artifact knob
-    /// `device_triggered_ctx_swt`).
-    pub device_triggered_ctx_swt: bool,
     /// Context-switch trigger threshold (artifact knob `cs_threshold`,
     /// 2 µs in Table II).
     pub cs_threshold: Nanos,
     /// Cost of one context switch on the host CPU (2 µs in Table II).
     pub context_switch_overhead: Nanos,
-    /// Place all data in host DRAM regardless of footprint (the DRAM-Only
-    /// ideal configuration; artifact flag `-d`).
-    pub infinite_host_dram: bool,
-    /// The named design variant this configuration corresponds to (for
-    /// reporting); the boolean knobs above are authoritative.
+    /// The named design variant. It is the only switch for the SkyByte
+    /// mechanisms: the write log ([`VariantKind::write_log`]), the
+    /// coordinated context switch ([`VariantKind::context_switch`]), page
+    /// migration ([`VariantKind::migration_policy`]; `migration.policy` is
+    /// consulted only when that is not `Disabled`) and the DRAM-Only ideal
+    /// placement ([`VariantKind::dram_only`], artifact flag `-d`).
     pub variant: VariantKind,
     /// Pluggable policy selection for the seams lifted behind traits
     /// (data-cache eviction/admission, hotness tracking, tenant scheduling).
     /// The default reproduces the pre-policy-layer behaviour exactly.
-    #[serde(default)]
     pub policy: PolicyConfig,
     /// Observe-only telemetry capture (periodic metric sampling and the
     /// Chrome trace-event timeline). Excluded from run fingerprints via its
     /// constant `Debug` rendering.
-    #[serde(default)]
     pub telemetry: TelemetryConfig,
 }
 
@@ -796,12 +722,8 @@ impl Default for SimConfig {
             migration: MigrationConfig::default(),
             sched_policy: SchedPolicy::Cfs,
             threads: 8,
-            promotion_enable: false,
-            write_log_enable: false,
-            device_triggered_ctx_swt: false,
             cs_threshold: Nanos::from_micros(2),
             context_switch_overhead: Nanos::from_micros(2),
-            infinite_host_dram: false,
             variant: VariantKind::BaseCssd,
             policy: PolicyConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -810,17 +732,14 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Configures all knobs to match one of the paper's named design variants.
+    /// Selects one of the paper's named design variants, with its migration
+    /// policy and thread count.
     ///
     /// Context-switch-enabled variants default to 24 threads on 8 cores and
     /// the others to 8 threads, following §VI-A.
     pub fn with_variant(mut self, variant: VariantKind) -> Self {
         self.variant = variant;
-        self.write_log_enable = variant.write_log();
-        self.device_triggered_ctx_swt = variant.context_switch();
         self.migration.policy = variant.migration_policy();
-        self.promotion_enable = variant.migration_policy() != MigrationPolicyKind::Disabled;
-        self.infinite_host_dram = variant.dram_only();
         self.threads = if variant.context_switch() {
             self.cpu.cores * 3
         } else {
@@ -898,9 +817,10 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first violated invariant:
-    /// zero cores/threads, more than [`MAX_THREADS`] threads, empty caches, a write log that does not hold at
-    /// least one page worth of cachelines, GC thresholds outside `(0, 1]`,
-    /// or zero-latency flash.
+    /// zero cores/threads, more than [`MAX_THREADS`] threads, an empty TLB
+    /// or data cache, a write log that does not hold at least one page worth
+    /// of cachelines, GC thresholds outside `(0, 1]`, zero-latency flash, or
+    /// a migrating variant without a PLB entry.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cpu.cores == 0 {
             return Err(ConfigError::new("cpu.cores must be at least 1"));
@@ -918,22 +838,6 @@ impl SimConfig {
         }
         if !(0.0..=1.0).contains(&self.cpu.mem_op_fraction) {
             return Err(ConfigError::new("cpu.mem_op_fraction must be in [0, 1]"));
-        }
-        for (name, lvl) in [
-            ("l1d", &self.cpu.l1d),
-            ("l2", &self.cpu.l2),
-            ("llc", &self.cpu.llc),
-        ] {
-            if lvl.size_bytes == 0 || lvl.ways == 0 {
-                return Err(ConfigError::new(format!(
-                    "cache level {name} must have nonzero size and ways"
-                )));
-            }
-            if lvl.capacity_lines() < lvl.ways as u64 {
-                return Err(ConfigError::new(format!(
-                    "cache level {name} smaller than one set"
-                )));
-            }
         }
         if self.cpu.tlb.entries == 0 {
             return Err(ConfigError::new("cpu.tlb.entries must be at least 1"));
@@ -963,7 +867,9 @@ impl SimConfig {
         {
             return Err(ConfigError::new("flash latencies must be nonzero"));
         }
-        if self.migration.plb_entries == 0 && self.promotion_enable {
+        if self.migration.plb_entries == 0
+            && self.variant.migration_policy() != MigrationPolicyKind::Disabled
+        {
             return Err(ConfigError::new(
                 "promotion requires at least one PLB entry",
             ));
@@ -986,8 +892,8 @@ mod tests {
         let cfg = SimConfig::default();
         assert_eq!(cfg.cpu.cores, 8);
         assert_eq!(cfg.cpu.rob_entries, 256);
-        assert_eq!(cfg.cpu.llc.size_bytes, 16 * MIB);
-        assert_eq!(cfg.cpu.llc.mshrs, 1024);
+        assert_eq!(cfg.variant, VariantKind::BaseCssd);
+        assert_eq!(cfg.ssd.dram.access_latency, Nanos::new(90));
         assert_eq!(cfg.ssd.geometry.total_bytes(), 128 * GIB);
         assert_eq!(cfg.ssd.flash.read_latency, Nanos::from_micros(3));
         assert_eq!(cfg.ssd.flash.program_latency, Nanos::from_micros(100));
@@ -1024,25 +930,6 @@ mod tests {
         assert!(on.validate().is_err());
         on.telemetry.enabled = false;
         on.validate().unwrap();
-    }
-
-    #[test]
-    fn configs_without_a_telemetry_field_still_deserialize() {
-        // Serialized configs predating the telemetry field (golden corpus
-        // metadata included) must keep loading via the serde default.
-        let json = serde_json::to_string(&SimConfig::default()).unwrap();
-        let mut v: serde::Value = serde_json::from_str(&json).unwrap();
-        match &mut v {
-            serde::Value::Map(entries) => {
-                let before = entries.len();
-                entries.retain(|(k, _)| k != "telemetry");
-                assert_eq!(entries.len(), before - 1, "telemetry must serialize");
-            }
-            other => panic!("a config must serialize as a map, got {other:?}"),
-        }
-        let stripped = serde_json::to_string(&v).unwrap();
-        let cfg: SimConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(cfg.telemetry, TelemetryConfig::default());
     }
 
     #[test]
@@ -1110,12 +997,16 @@ mod tests {
     fn with_variant_sets_thread_count() {
         let full = SimConfig::default().with_variant(VariantKind::SkyByteFull);
         assert_eq!(full.threads, 24);
-        assert!(full.write_log_enable && full.device_triggered_ctx_swt && full.promotion_enable);
+        assert_eq!(full.variant, VariantKind::SkyByteFull);
+        assert_eq!(full.migration.policy, MigrationPolicyKind::Adaptive);
         let wp = SimConfig::default().with_variant(VariantKind::SkyByteWP);
         assert_eq!(wp.threads, 8);
-        assert!(!wp.device_triggered_ctx_swt);
+        let ct = SimConfig::default().with_variant(VariantKind::SkyByteCT);
+        assert_eq!(ct.threads, 24);
+        assert_eq!(ct.migration.policy, MigrationPolicyKind::Tpp);
         let dram = SimConfig::default().with_variant(VariantKind::DramOnly);
-        assert!(dram.infinite_host_dram);
+        assert_eq!(dram.threads, 8);
+        assert_eq!(dram.migration.policy, MigrationPolicyKind::Disabled);
     }
 
     #[test]
@@ -1137,8 +1028,7 @@ mod tests {
         assert_eq!(cfg.ssd.dram.data_cache_bytes, 128 * MIB);
         assert_eq!(cfg.ssd.dram.write_log_bytes, 8 * MIB);
         assert_eq!(cfg.host_dram.promotion_capacity_bytes, GIB);
-        assert_eq!(cfg.ssd.nand_kind, NandKind::Slc);
-        assert_eq!(cfg.ssd.flash.read_latency, Nanos::from_micros(25));
+        assert_eq!(cfg.ssd.flash, FlashTimingConfig::for_kind(NandKind::Slc));
         assert_eq!(cfg.cpu.tlb.entries, 64);
         assert_eq!(cfg.cpu.tlb.miss_latency, Nanos::new(120));
         cfg.validate().unwrap();
@@ -1196,19 +1086,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_level_helpers() {
-        let llc = CpuConfig::default().llc;
-        assert_eq!(llc.capacity_lines(), 16 * MIB / 64);
-        assert_eq!(llc.sets(), llc.capacity_lines() / 16);
-    }
-
-    #[test]
     fn dram_timing_presets() {
         let host = DramTimingConfig::ddr5_host();
         assert_eq!(host.channels, 8);
         assert!(host.total_bandwidth_bps() > host.channel_bandwidth_bps);
-        let ssd = DramTimingConfig::lpddr4_ssd();
-        assert_eq!(ssd.channels, 2);
     }
 
     #[test]

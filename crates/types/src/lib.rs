@@ -11,10 +11,11 @@
 //! * [`access`] — the memory-access records exchanged between the host CPU
 //!   model, the CXL port and the SSD controller.
 //! * [`config`] — the full simulator configuration mirroring Table II of the
-//!   SkyByte paper, including every knob exposed by the original artifact
-//!   (`promotion_enable`, `write_log_enable`, `device_triggered_ctx_swt`,
-//!   `cs_threshold`, `ssd_cache_size_byte`, `host_dram_size_byte`,
-//!   `t_policy`, …).
+//!   SkyByte paper. The named design variant ([`VariantKind`]) is the only
+//!   switch for the SkyByte mechanisms (the artifact's `promotion_enable`,
+//!   `write_log_enable` and `device_triggered_ctx_swt`); the numeric artifact
+//!   knobs (`cs_threshold`, `ssd_cache_size_byte`, `host_dram_size_byte`,
+//!   `t_policy`, …) are plain fields.
 //! * [`stats`] — latency histograms and counters used to build the paper's
 //!   figures (latency distributions, AMAT breakdowns, boundedness).
 //!
@@ -55,9 +56,9 @@ pub mod prelude {
     };
     pub use crate::audit::{AuditReport, Violation};
     pub use crate::config::{
-        CacheLevelConfig, CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig,
-        MigrationConfig, MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig,
-        SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig, VariantKind,
+        CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig, MigrationConfig,
+        MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig,
+        SsdGeometry, TelemetryConfig, TlbConfig, VariantKind,
     };
     pub use crate::error::ConfigError;
     pub use crate::fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
@@ -77,10 +78,9 @@ pub use addr::{
 };
 pub use audit::{AuditReport, Violation};
 pub use config::{
-    CacheLevelConfig, CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig,
-    MigrationConfig, MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig,
-    SsdDramConfig, SsdGeometry, TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MAX_THREADS,
-    MIB,
+    CpuConfig, DramTimingConfig, FlashTimingConfig, HostDramConfig, MigrationConfig,
+    MigrationPolicyKind, NandKind, SchedPolicy, SimConfig, SsdConfig, SsdDramConfig, SsdGeometry,
+    TelemetryConfig, TlbConfig, VariantKind, GIB, KIB, MAX_THREADS, MIB,
 };
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};

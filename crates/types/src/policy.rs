@@ -382,16 +382,12 @@ impl FromStr for RebalancePolicyKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PolicyConfig {
     /// Data-cache eviction policy.
-    #[serde(default)]
     pub eviction: EvictionPolicyKind,
     /// Data-cache admission policy.
-    #[serde(default)]
     pub admission: AdmissionPolicyKind,
     /// Controller hot-page tracking policy.
-    #[serde(default)]
     pub hotness: HotnessPolicyKind,
     /// Tenant-aware scheduling hook.
-    #[serde(default)]
     pub tenant_sched: TenantSchedKind,
 }
 
@@ -437,13 +433,15 @@ impl PolicyOverride {
     /// Applies the override to the corresponding configuration field.
     ///
     /// Note that, exactly like setting the field directly, an override can
-    /// be inert for a given variant: a migration policy is only exercised
-    /// when `promotion_enable` is set, and the tenant scheduler only matters
-    /// for multi-tenant runs. The two fleet dimensions (placement and
-    /// rebalance) live *above* the device — they are consumed by
-    /// `skybyte_sim::fleet` when compiling a `FleetConfig`, never by a
-    /// single-device `SimConfig`, so applying them here is a no-op by design
-    /// (a device fingerprint must not depend on where the fleet placed it).
+    /// be inert for a given variant: a migration policy is inert unless the
+    /// variant migrates pages (its
+    /// [`migration_policy`](crate::VariantKind::migration_policy) is not
+    /// `Disabled`), and the tenant scheduler only matters for multi-tenant
+    /// runs. The two fleet dimensions (placement and rebalance) live *above*
+    /// the device — they are consumed by `skybyte_sim::fleet` when compiling
+    /// a `FleetConfig`, never by a single-device `SimConfig`, so applying
+    /// them here is a no-op by design (a device fingerprint must not depend
+    /// on where the fleet placed it).
     pub fn apply(self, cfg: &mut SimConfig) {
         match self {
             PolicyOverride::Eviction(k) => cfg.policy.eviction = k,

@@ -168,7 +168,10 @@ proptest! {
             prop_assert!(out.ready_at >= now, "response before request");
             prop_assert!(out.breakdown.total() <= out.ready_at.saturating_sub(now) + Nanos::from_micros(1));
             if out.delay_hint {
-                prop_assert!(out.estimated_ready_at >= now);
+                // The hint carries `ready_at` as the wake-up time: a queued
+                // flash fill, strictly after the request.
+                prop_assert_eq!(out.served_by, ServedBy::Flash);
+                prop_assert!(out.ready_at > now);
             }
         }
         let s = *ssd.stats();

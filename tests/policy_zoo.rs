@@ -108,6 +108,20 @@ fn every_migration_trigger_keeps_the_audit_clean() {
             assert_eq!(result.pages_promoted, 0);
         }
     }
+    // The variant gates migration: on Base-CSSD, which migrates nothing,
+    // every migration policy is inert and the result is the untouched run's.
+    let base = scale.apply(SimConfig::default().with_variant(VariantKind::BaseCssd));
+    let untouched = Simulation::with_config(base.clone(), WorkloadKind::Tpcc, &scale).run();
+    for policy in MigrationPolicyKind::ALL {
+        let mut cfg = base.clone();
+        cfg.migration.policy = policy;
+        let (result, report) = Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).audit();
+        report.assert_clean(&format!("Base-CSSD with migration {policy}"));
+        assert_eq!(
+            result, untouched,
+            "migration {policy} must be inert on Base-CSSD"
+        );
+    }
 }
 
 #[test]
