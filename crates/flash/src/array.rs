@@ -17,6 +17,11 @@ pub struct FlashArray {
     geometry: SsdGeometry,
     timing: FlashTimingConfig,
     channels: Vec<ChannelQueue>,
+    /// Earliest completion among every channel's in-flight commands
+    /// (`Nanos::MAX` when idle). Lowered on submission and recomputed on
+    /// retirement, so [`FlashArray::retire_completed`] returns in O(1)
+    /// while no channel has finished anything.
+    earliest_completion: Nanos,
     stats: FlashStats,
 }
 
@@ -37,6 +42,7 @@ impl FlashArray {
             channels: (0..geometry.channels)
                 .map(|_| ChannelQueue::new())
                 .collect(),
+            earliest_completion: Nanos::MAX,
             stats: FlashStats::default(),
         }
     }
@@ -71,6 +77,7 @@ impl FlashArray {
             self.channels.len()
         );
         let cmd = self.channels[ch].submit(kind, ppa, now, &self.timing);
+        self.earliest_completion = self.earliest_completion.min(cmd.completes_at);
         match kind {
             FlashCommandKind::Read => {
                 self.stats.pages_read += 1;
@@ -85,13 +92,21 @@ impl FlashArray {
         cmd
     }
 
-    /// Retires completed commands on every channel up to time `now`.
-    pub fn retire_completed(&mut self, now: Nanos) -> Vec<FlashCommand> {
-        let mut out = Vec::new();
-        for ch in &mut self.channels {
-            out.extend(ch.retire_completed(now));
+    /// Retires the commands every channel has completed by time `now`,
+    /// updating the per-channel queue counters, and returns how many were
+    /// retired.
+    pub fn retire_completed(&mut self, now: Nanos) -> usize {
+        if now < self.earliest_completion {
+            return 0;
         }
-        out
+        let mut retired = 0;
+        let mut earliest = Nanos::MAX;
+        for ch in &mut self.channels {
+            retired += ch.retire_completed(now);
+            earliest = earliest.min(ch.earliest_completion());
+        }
+        self.earliest_completion = earliest;
+        retired
     }
 
     /// Queue counters of the channel that `ppa` maps to — the input to the
@@ -262,6 +277,35 @@ mod tests {
     }
 
     #[test]
+    fn partial_retirement_keeps_the_busy_channels_queue() {
+        let mut arr = small_array();
+        let done = Ppa::new(0, 0, 0, 0, 0, 0);
+        let busy = Ppa::new(1, 0, 0, 0, 0, 0);
+        arr.submit(FlashCommandKind::Read, done, Nanos::ZERO);
+        arr.submit(FlashCommandKind::Program, busy, Nanos::ZERO);
+        arr.submit(FlashCommandKind::Erase, busy, Nanos::ZERO);
+        assert_eq!(arr.retire_completed(Nanos::new(2_999)), 0);
+        // At tR only channel 0's read is done; channel 1 keeps its queue.
+        assert_eq!(arr.retire_completed(Nanos::from_micros(3)), 1);
+        assert_eq!(arr.channel_counters(done), QueueCounters::default());
+        assert_eq!(arr.channel_counters(busy).writes, 1);
+        assert_eq!(arr.channel_counters(busy).erases, 1);
+        assert_eq!(arr.estimate_read_latency(busy), Nanos::from_micros(1103));
+        // Nothing else completes before the program (100 us): the array-wide
+        // early exit must not lose channel 1's counters.
+        assert_eq!(arr.retire_completed(Nanos::from_micros(50)), 0);
+        assert_eq!(arr.estimate_read_latency(busy), Nanos::from_micros(1103));
+        assert_eq!(arr.retire_completed(Nanos::from_micros(100)), 1);
+        assert_eq!(arr.estimate_read_latency(busy), Nanos::from_micros(1003));
+        // A new read on the idle channel re-arms retirement for that channel.
+        arr.submit(FlashCommandKind::Read, done, Nanos::from_micros(200));
+        assert_eq!(arr.retire_completed(Nanos::from_micros(203)), 1);
+        assert_eq!(arr.retire_completed(Nanos::from_micros(1100)), 1);
+        assert!(arr.is_idle());
+        assert_eq!(arr.estimate_read_latency(busy), Nanos::from_micros(3));
+    }
+
+    #[test]
     fn least_busy_channel_prefers_idle() {
         let mut arr = small_array();
         arr.submit(
@@ -289,7 +333,7 @@ mod tests {
         );
         assert!(!arr.is_idle());
         assert_eq!(arr.all_idle_at(), Nanos::from_micros(3));
-        arr.retire_completed(Nanos::from_micros(3));
+        assert_eq!(arr.retire_completed(Nanos::from_micros(3)), 1);
         assert!(arr.is_idle());
         assert_eq!(arr.total_busy_time(), Nanos::from_micros(3));
     }

@@ -55,20 +55,16 @@ impl QueueCounters {
 /// Reads serialise behind previously accepted reads only (suspending any
 /// program/erase in service); programs and erases serialise behind all
 /// previously accepted work.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChannelQueue {
-    /// In-flight reads in submission order. Each read waits for every earlier
-    /// read (`read_busy_until` only grows), so completion times are monotone
-    /// within this queue and retirement is a pop-front loop.
-    inflight_reads: VecDeque<(u64, FlashCommand)>,
+    /// Completion times of in-flight reads, in submission order. Each read
+    /// waits for every earlier read (`read_busy_until` only grows), so the
+    /// times are monotone and retirement is a pop-front loop.
+    inflight_reads: VecDeque<Nanos>,
     /// In-flight programs/erases in submission order. They serialise behind
     /// all previously accepted work (`busy_until` is non-decreasing), so this
-    /// queue is completion-monotone too. The `u64` on both queues is a
-    /// submission sequence number used to break completion-time ties exactly
-    /// as a stable sort over one combined submission-ordered queue would.
-    inflight_writes: VecDeque<(u64, FlashCommand)>,
-    /// Next submission sequence number.
-    seq: u64,
+    /// queue is completion-monotone too.
+    inflight_writes: VecDeque<(Nanos, FlashCommandKind)>,
     /// Time at which the channel finishes its last accepted command.
     busy_until: Nanos,
     /// Time at which the last accepted *read* completes (the priority lane).
@@ -82,10 +78,24 @@ pub struct ChannelQueue {
     counters: QueueCounters,
 }
 
+impl Default for ChannelQueue {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ChannelQueue {
     /// Creates an idle channel queue.
     pub fn new() -> Self {
-        Self::default()
+        ChannelQueue {
+            inflight_reads: VecDeque::new(),
+            inflight_writes: VecDeque::new(),
+            busy_until: Nanos::ZERO,
+            read_busy_until: Nanos::ZERO,
+            earliest_completion: Nanos::MAX,
+            busy_time: Nanos::ZERO,
+            counters: QueueCounters::default(),
+        }
     }
 
     /// Submits a command at time `now` and returns the full command record,
@@ -129,85 +139,64 @@ impl ChannelQueue {
             FlashCommandKind::Program => self.counters.writes += 1,
             FlashCommandKind::Erase => self.counters.erases += 1,
         }
-        let cmd = FlashCommand {
+        self.earliest_completion = self.earliest_completion.min(completes_at);
+        match kind {
+            FlashCommandKind::Read => self.inflight_reads.push_back(completes_at),
+            FlashCommandKind::Program | FlashCommandKind::Erase => {
+                self.inflight_writes.push_back((completes_at, kind))
+            }
+        }
+        FlashCommand {
             kind,
             target,
             submitted_at: now,
             starts_at,
             completes_at,
-        };
-        self.earliest_completion = self.earliest_completion.min(completes_at);
-        let seq = self.seq;
-        self.seq += 1;
-        match kind {
-            FlashCommandKind::Read => self.inflight_reads.push_back((seq, cmd)),
-            FlashCommandKind::Program | FlashCommandKind::Erase => {
-                self.inflight_writes.push_back((seq, cmd))
-            }
         }
-        cmd
     }
 
-    /// Earliest completion among the in-flight queues (`Nanos::MAX` when
-    /// idle). Both queues are completion-monotone, so only the fronts matter.
-    fn next_completion(&self) -> Nanos {
-        let r = self
-            .inflight_reads
-            .front()
-            .map_or(Nanos::MAX, |&(_, c)| c.completes_at);
-        let w = self
-            .inflight_writes
-            .front()
-            .map_or(Nanos::MAX, |&(_, c)| c.completes_at);
-        r.min(w)
+    /// Earliest completion among the in-flight commands (`Nanos::MAX` when
+    /// idle).
+    pub(crate) fn earliest_completion(&self) -> Nanos {
+        self.earliest_completion
     }
 
-    /// Retires every command that has completed by `now`, updating the queue
-    /// counters, and returns the retired commands in completion order.
+    /// Retires every command that has completed by `now`, decrementing the
+    /// queue counters in place, and returns how many were retired.
     ///
     /// Because reads overtake programs/erases, completion times are not
-    /// monotone in submission order; every completed command is retired, not
-    /// just a completed prefix.
-    pub fn retire_completed(&mut self, now: Nanos) -> Vec<FlashCommand> {
+    /// monotone in submission order; both lanes are drained, not just a
+    /// completed prefix of one.
+    pub fn retire_completed(&mut self, now: Nanos) -> usize {
         // Fast path: this runs on every SSD access; skip the pops when the
         // earliest outstanding completion is still in the future.
         if now < self.earliest_completion {
-            return Vec::new();
+            return 0;
         }
-        // Both queues are completion-monotone, so every completed command sits
-        // at a front; merging the fronts by (completion, submission seq)
-        // reproduces the completion order a stable sort over one combined
-        // submission-ordered queue would give.
-        let mut done = Vec::new();
-        loop {
-            let r = self
-                .inflight_reads
-                .front()
-                .filter(|&&(_, c)| c.completes_at <= now);
-            let w = self
-                .inflight_writes
-                .front()
-                .filter(|&&(_, c)| c.completes_at <= now);
-            let take_read = match (r, w) {
-                (Some(&(rs, rc)), Some(&(ws, wc))) => (rc.completes_at, rs) < (wc.completes_at, ws),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (_, cmd) = if take_read {
-                self.inflight_reads.pop_front().expect("front checked")
-            } else {
-                self.inflight_writes.pop_front().expect("front checked")
-            };
-            match cmd.kind {
-                FlashCommandKind::Read => self.counters.reads -= 1,
+        // Both lanes are completion-monotone, so every completed command
+        // sits at a front.
+        let mut retired = 0;
+        while self.inflight_reads.front().is_some_and(|&t| t <= now) {
+            self.inflight_reads.pop_front();
+            self.counters.reads -= 1;
+            retired += 1;
+        }
+        while let Some(&(t, kind)) = self.inflight_writes.front() {
+            if t > now {
+                break;
+            }
+            self.inflight_writes.pop_front();
+            match kind {
                 FlashCommandKind::Program => self.counters.writes -= 1,
                 FlashCommandKind::Erase => self.counters.erases -= 1,
+                FlashCommandKind::Read => unreachable!("reads have their own lane"),
             }
-            done.push(cmd);
+            retired += 1;
         }
-        self.earliest_completion = self.next_completion();
-        done
+        let r = self.inflight_reads.front().copied().unwrap_or(Nanos::MAX);
+        let w = self.inflight_writes.front().map_or(Nanos::MAX, |&(t, _)| t);
+        self.earliest_completion = r.min(w);
+        retired
     }
 
     /// Current per-kind counters of queued/in-service commands.
@@ -298,17 +287,30 @@ mod tests {
         assert_eq!(q.counters().total(), 3);
 
         // After tR the read is done.
-        let retired = q.retire_completed(Nanos::from_micros(3));
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].kind, FlashCommandKind::Read);
+        assert_eq!(q.retire_completed(Nanos::from_micros(3)), 1);
         assert_eq!(q.counters().reads, 0);
         assert_eq!(q.counters().total(), 2);
 
         // Far in the future everything drains.
-        let retired = q.retire_completed(Nanos::from_secs(1));
-        assert_eq!(retired.len(), 2);
+        assert_eq!(q.retire_completed(Nanos::from_secs(1)), 2);
         assert!(q.is_idle());
         assert_eq!(q.counters().total(), 0);
+    }
+
+    #[test]
+    fn a_new_queue_reports_no_pending_completion() {
+        let mut q = ChannelQueue::new();
+        assert_eq!(q.earliest_completion(), Nanos::MAX);
+        assert_eq!(ChannelQueue::default().earliest_completion(), Nanos::MAX);
+        let t = timing();
+        q.submit(FlashCommandKind::Program, Ppa::default(), Nanos::ZERO, &t);
+        q.submit(FlashCommandKind::Read, Ppa::default(), Nanos::ZERO, &t);
+        // The read overtakes the program, so it completes first.
+        assert_eq!(q.earliest_completion(), Nanos::from_micros(3));
+        assert_eq!(q.retire_completed(Nanos::from_micros(3)), 1);
+        assert_eq!(q.earliest_completion(), Nanos::from_micros(100));
+        assert_eq!(q.retire_completed(Nanos::from_micros(100)), 1);
+        assert_eq!(q.earliest_completion(), Nanos::MAX);
     }
 
     #[test]

@@ -8,6 +8,8 @@ use skybyte_cache::{DataCache, DataCacheStats, WriteLog, WriteLogStats};
 use skybyte_flash::{FlashArray, FlashStats};
 use skybyte_ftl::{Ftl, FtlStats};
 use skybyte_types::{CachelineIndex, FastHashMap, Lpa, Nanos, SimConfig};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of one cacheline access handled by the SSD controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,13 +54,15 @@ pub struct SsdController {
     mshr_capacity: usize,
     logical_pages: u64,
 
-    /// Page fetches currently in flight: LPA → time the page lands in DRAM.
+    /// Page fetches currently in flight (the controller's MSHRs): LPA → time
+    /// the page lands in DRAM. Every insertion is mirrored in `fill_order`,
+    /// and `lazy_tick` drops an entry once its time has passed.
     inflight_fills: FastHashMap<Lpa, Nanos>,
-    /// Lower bound on the earliest completion in `inflight_fills`
-    /// (`Nanos::MAX` when empty). Lets `lazy_tick` skip the retire scan when
-    /// no fill can have completed yet; a stale-low bound only costs a no-op
-    /// scan, never a missed retirement.
-    earliest_fill_done: Nanos,
+    /// Earliest-first index over `inflight_fills`. A re-fetch overwrites a
+    /// page's entry and leaves its old `(ready, lpa)` here; such an entry is
+    /// stale because the map no longer holds that `ready` for that page, and
+    /// it is skipped when it reaches the top.
+    fill_order: BinaryHeap<Reverse<(Nanos, Lpa)>>,
     /// Time at which the currently running log compaction finishes.
     compaction_active_until: Nanos,
     /// Monotonic version counter used as the write-log payload token.
@@ -114,7 +118,7 @@ impl SsdController {
             mshr_capacity: ssd.dram.mshrs as usize,
             logical_pages,
             inflight_fills: FastHashMap::default(),
-            earliest_fill_done: Nanos::MAX,
+            fill_order: BinaryHeap::new(),
             compaction_active_until: Nanos::ZERO,
             write_token: 0,
             stats: SsdStats::default(),
@@ -493,14 +497,14 @@ impl SsdController {
     /// flash commands and recycle finished compactions / page fills.
     fn lazy_tick(&mut self, now: Nanos) {
         self.flash.retire_completed(now);
-        if self.earliest_fill_done <= now {
-            self.inflight_fills.retain(|_, ready| *ready > now);
-            self.earliest_fill_done = self
-                .inflight_fills
-                .values()
-                .min()
-                .copied()
-                .unwrap_or(Nanos::MAX);
+        while let Some(&Reverse((ready, lpa))) = self.fill_order.peek() {
+            if ready > now {
+                break;
+            }
+            self.fill_order.pop();
+            if self.inflight_fills.get(&lpa) == Some(&ready) {
+                self.inflight_fills.remove(&lpa);
+            }
         }
         if self.compaction_active_until <= now {
             if let Some(log) = &mut self.write_log {
@@ -524,7 +528,7 @@ impl SsdController {
         // waits for the earliest outstanding fill to complete.
         let mut start = now;
         if self.inflight_fills.len() >= self.mshr_capacity {
-            if let Some(&earliest) = self.inflight_fills.values().min() {
+            if let Some(earliest) = self.earliest_live_fill() {
                 start = start.max(earliest);
             }
         }
@@ -532,9 +536,26 @@ impl SsdController {
             .ftl
             .read_page(lpa, start, &mut self.flash)
             .unwrap_or(start);
-        self.inflight_fills.insert(lpa, ready);
-        self.earliest_fill_done = self.earliest_fill_done.min(ready);
+        self.track_fill(lpa, ready);
         ready
+    }
+
+    /// Records an in-flight fill of `lpa` that lands at `ready`.
+    fn track_fill(&mut self, lpa: Lpa, ready: Nanos) {
+        self.inflight_fills.insert(lpa, ready);
+        self.fill_order.push(Reverse((ready, lpa)));
+    }
+
+    /// Landing time of the earliest fill still in `inflight_fills`, dropping
+    /// the stale index entries of re-fetched pages on the way.
+    fn earliest_live_fill(&mut self) -> Option<Nanos> {
+        while let Some(&Reverse((ready, lpa))) = self.fill_order.peek() {
+            if self.inflight_fills.get(&lpa) == Some(&ready) {
+                return Some(ready);
+            }
+            self.fill_order.pop();
+        }
+        None
     }
 
     /// Inserts a page into the data cache, handling dirty evictions
@@ -572,8 +593,7 @@ impl SsdController {
             return;
         }
         if let Some(ready) = self.ftl.read_page(next, at, &mut self.flash) {
-            self.inflight_fills.insert(next, ready);
-            self.earliest_fill_done = self.earliest_fill_done.min(ready);
+            self.track_fill(next, ready);
             self.insert_page_into_cache(next, ready);
             self.stats.prefetches += 1;
         }
@@ -894,6 +914,79 @@ mod tests {
         // the same page (prefetches may add reads for other pages).
         assert!(b.ready_at <= a.ready_at + cfg.ssd.dram.access_latency);
         assert!(ssd.flash_stats().pages_read <= reads_after_first + 1);
+    }
+
+    /// Base-CSSD with two MSHRs and pages 10, 20 and 30 mapped, one per
+    /// channel. Their neighbours stay unmapped, so no prefetch issues a fill.
+    fn two_mshr_controller(cfg: &mut SimConfig) -> SsdController {
+        cfg.ssd.dram.mshrs = 2;
+        let mut ssd = SsdController::new(cfg);
+        ssd.precondition([Lpa::new(10), Lpa::new(20), Lpa::new(30)]);
+        let channel = |lpa| ssd.ftl.translate(Lpa::new(lpa)).expect("mapped").channel;
+        assert_eq!([channel(10), channel(20), channel(30)], [0, 1, 2]);
+        ssd
+    }
+
+    #[test]
+    fn mshr_full_miss_waits_for_the_earliest_live_fill() {
+        let mut cfg = small_cfg(VariantKind::BaseCssd);
+        let mut ssd = two_mshr_controller(&mut cfg);
+        let (dram, index) = (
+            cfg.ssd.dram.access_latency,
+            cfg.ssd.dram.data_cache_index_latency,
+        );
+        let t_r = cfg.ssd.flash.read_latency;
+        let first = ssd.handle_read(Lpa::new(10), 0, Nanos::ZERO).ready_at - dram;
+        let second = ssd.handle_read(Lpa::new(20), 0, Nanos::new(500)).ready_at - dram;
+        assert!(first < second);
+        // Both MSHRs are busy: the third distinct miss, on an idle channel,
+        // starts its flash read only when the earliest fill lands.
+        let now = Nanos::new(1000);
+        assert!(now + index < first);
+        let third = ssd.handle_read(Lpa::new(30), 0, now);
+        assert_eq!(third.served_by, ServedBy::Flash);
+        assert_eq!(third.ready_at, first + t_r + dram);
+        assert_eq!(third.breakdown.flash, (first + t_r).since(now + index));
+    }
+
+    #[test]
+    fn mshr_wait_ignores_the_landed_fill_of_a_refetched_page() {
+        let mut cfg = small_cfg(VariantKind::BaseCssd);
+        // Two one-way sets: every even page competes for set 0.
+        cfg.ssd.dram.data_cache_bytes = 4096;
+        cfg.ssd.dram.write_log_bytes = 4096;
+        cfg.ssd.dram.data_cache_ways = 1;
+        let (dram, index) = (
+            cfg.ssd.dram.access_latency,
+            cfg.ssd.dram.data_cache_index_latency,
+        );
+        let t_r = cfg.ssd.flash.read_latency;
+        // The third miss arrives one tick before page 10's first fill lands
+        // (the fill is still queued for retirement, so the MSHR wait must
+        // skip it) or exactly when it lands (retiring it must not free the
+        // MSHR that page 10's re-fetch holds).
+        for third_delay in [0, 1] {
+            let mut ssd = two_mshr_controller(&mut cfg);
+            let p_fill = ssd.handle_read(Lpa::new(10), 0, Nanos::ZERO).ready_at - dram;
+            // Page 20's fill evicts page 10 from the cache.
+            let q_fill = ssd.handle_read(Lpa::new(20), 0, Nanos::new(1000)).ready_at - dram;
+            assert_eq!(q_fill, p_fill + Nanos::new(1000));
+            // Page 10 misses again one tick before its first fill lands: that
+            // fill has landed by the time the lookup finishes, so the
+            // re-fetch neither merges with it nor waits for an MSHR.
+            let now = p_fill - Nanos::new(1);
+            let again = ssd.handle_read(Lpa::new(10), 0, now);
+            assert_eq!(again.served_by, ServedBy::Flash);
+            let p_refill = now + index + t_r;
+            assert_eq!(again.ready_at, p_refill + dram);
+            // Both MSHRs are busy, so the next miss starts at the earliest
+            // live fill (page 20's), not at page 10's landed first fill.
+            let live = q_fill.min(p_refill);
+            let at = now + Nanos::new(third_delay);
+            assert!(at + index < live);
+            let third = ssd.handle_read(Lpa::new(30), 0, at);
+            assert_eq!(third.ready_at, live + t_r + dram, "third miss at {at}");
+        }
     }
 
     #[test]

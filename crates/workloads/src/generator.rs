@@ -31,8 +31,18 @@ pub struct WorkUnit {
 pub struct TraceGenerator {
     spec: WorkloadSpec,
     rng: ChaCha12Rng,
-    hot_pages: u64,
     hot_zipf: Zipf,
+    /// Page distance between consecutive Zipf ranks: 1 unless the hot set is
+    /// larger than the Zipf table, whose ranks are then spread over it.
+    hot_stride: u64,
+    /// Mean burst length (`spec.instructions_per_miss()`).
+    base_instructions: u64,
+    /// Cachelines each page exposes (`coverage_cachelines(spec)`).
+    coverage: u32,
+    /// `spec.write_ratio` clamped to a probability.
+    write_p: f64,
+    /// `spec.hot_access_fraction` clamped to a probability.
+    hot_p: f64,
     /// Private cold partition of this thread: [cold_start, cold_start + cold_len).
     cold_start: u64,
     cold_len: u64,
@@ -75,17 +85,21 @@ impl TraceGenerator {
         let zipf_n = hot_pages.min(1 << 20);
         let mut rng =
             ChaCha12Rng::seed_from_u64(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let coverage_cls = Self::coverage_cachelines(spec);
+        let coverage = Self::coverage_cachelines(spec);
         let cursor_page = cold_start + rng.gen_range(0..per_thread);
         TraceGenerator {
             spec: *spec,
             rng,
-            hot_pages,
             hot_zipf: Zipf::new(zipf_n, spec.zipf_exponent.max(0.0)),
+            hot_stride: (hot_pages / zipf_n).max(1),
+            base_instructions: spec.instructions_per_miss(),
+            coverage,
+            write_p: spec.write_ratio.clamp(0.0, 1.0),
+            hot_p: spec.hot_access_fraction.clamp(0.0, 1.0),
             cold_start,
             cold_len: per_thread,
             cursor_page,
-            cursor_remaining: coverage_cls,
+            cursor_remaining: coverage,
             units_generated: 0,
         }
     }
@@ -108,7 +122,7 @@ impl TraceGenerator {
     /// Produces the next work unit.
     pub fn next_unit(&mut self) -> WorkUnit {
         self.units_generated += 1;
-        let base = self.spec.instructions_per_miss();
+        let base = self.base_instructions;
         // ±50 % jitter around the MPKI-derived mean keeps bursts irregular
         // while preserving the average.
         let instructions = if base <= 1 {
@@ -116,7 +130,7 @@ impl TraceGenerator {
         } else {
             self.rng.gen_range(base / 2..=base + base / 2)
         };
-        let is_write = self.rng.gen_bool(self.spec.write_ratio.clamp(0.0, 1.0));
+        let is_write = self.rng.gen_bool(self.write_p);
         let (page, cl) = self.pick_location(is_write);
         let addr = VirtAddr::new(page * PAGE_SIZE as u64 + cl as u64 * 64);
         WorkUnit {
@@ -138,26 +152,13 @@ impl TraceGenerator {
     }
 
     fn pick_location(&mut self, is_write: bool) -> (u64, u8) {
-        let hot = self
-            .rng
-            .gen_bool(self.spec.hot_access_fraction.clamp(0.0, 1.0));
-        let page = if hot {
-            self.pick_hot_page()
+        let page = if self.rng.gen_bool(self.hot_p) {
+            self.hot_zipf.sample(&mut self.rng) * self.hot_stride
         } else {
             self.pick_cold_page(is_write)
         };
         let cl = self.pick_cacheline(page, is_write);
         (page, cl)
-    }
-
-    fn pick_hot_page(&mut self) -> u64 {
-        let rank = self.hot_zipf.sample(&mut self.rng);
-        // Spread ranks over the hot region if it is larger than the table.
-        if self.hot_pages > self.hot_zipf.n() {
-            rank * (self.hot_pages / self.hot_zipf.n()).max(1)
-        } else {
-            rank
-        }
     }
 
     fn pick_cold_page(&mut self, is_write: bool) -> u64 {
@@ -172,7 +173,7 @@ impl TraceGenerator {
                     };
                     self.cursor_page = self.cold_start
                         + (self.cursor_page - self.cold_start + step) % self.cold_len;
-                    self.cursor_remaining = Self::coverage_cachelines(&self.spec);
+                    self.cursor_remaining = self.coverage;
                 }
                 self.cursor_remaining -= 1;
                 self.cursor_page
@@ -188,12 +189,11 @@ impl TraceGenerator {
     }
 
     fn pick_cacheline(&mut self, page: u64, _is_write: bool) -> u8 {
-        let coverage = Self::coverage_cachelines(&self.spec);
         // Each page exposes only `coverage` cachelines, starting at a
         // page-dependent offset, so the per-page coverage CDF of Figures 5–6
         // is reproduced by construction.
         let offset = (page.wrapping_mul(0x9E37_79B9) % CACHELINES_PER_PAGE as u64) as u32;
-        let pick = self.rng.gen_range(0..coverage);
+        let pick = self.rng.gen_range(0..self.coverage);
         ((offset + pick) % CACHELINES_PER_PAGE as u32) as u8
     }
 }
@@ -296,6 +296,41 @@ mod tests {
         }
         let solo = TraceGenerator::new(&spec, 0, 2, 1).generate(1_000);
         assert_eq!(interleaved, solo);
+    }
+
+    /// FNV-1a over every field of the first `n` units of a stream.
+    fn stream_digest(g: &mut TraceGenerator, n: usize) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for u in g.take(n) {
+            let kind = u64::from(u.access.kind.is_write());
+            for word in [u.instructions, u.access.addr.as_u64(), kind] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn streams_match_their_pinned_digests() {
+        // Every simulated result downstream of the generator depends on these
+        // streams, so a change that perturbs one must fail here, not only in
+        // the golden corpus. Re-pin only for an intended stream change.
+        let pinned = [
+            (WorkloadKind::Bc, 0x3939_2249_6C08_28CA),
+            (WorkloadKind::BfsDense, 0xD9CE_B120_5771_2752),
+            (WorkloadKind::Dlrm, 0x9BE9_571B_749D_D97E),
+            (WorkloadKind::Radix, 0xD7AE_0301_2391_AA79),
+            (WorkloadKind::Srad, 0x245C_AF53_1418_F545),
+            (WorkloadKind::Tpcc, 0x268D_0047_1B76_160D),
+            (WorkloadKind::Ycsb, 0x4AF5_BE09_9A27_EFF5),
+        ];
+        for (kind, digest) in pinned {
+            let mut g = TraceGenerator::new(&scaled(kind), 1, 4, 0x5EED);
+            let got = stream_digest(&mut g, 200_000);
+            assert_eq!(got, digest, "{kind}: stream digest {got:#018x}");
+        }
     }
 
     #[test]
