@@ -13,11 +13,13 @@
 //! 5. a proptest sweep keeps random policy points conserving off the grid
 //!    of the named experiments.
 
+use skybyte::sim::fleet::{fleet_population, run_fleet, FleetConfig};
 use skybyte::sim::runner::RunRequest;
-use skybyte::sim::{ExperimentScale, SimResult, Simulation};
+use skybyte::sim::{ExperimentScale, Runner, SimResult, Simulation};
 use skybyte::types::{
     apply_policy_name, AdmissionPolicyKind, EvictionPolicyKind, HotnessPolicyKind,
-    MigrationPolicyKind, PolicyConfig, PolicyOverride, SimConfig, TenantSchedKind, VariantKind,
+    MigrationPolicyKind, PlacementPolicyKind, PolicyConfig, PolicyOverride, RebalancePolicyKind,
+    SimConfig, TenantSchedKind, VariantKind,
 };
 use skybyte::workloads::WorkloadKind;
 
@@ -242,4 +244,144 @@ mod proptest_sweep {
             prop_assert_eq!(result.policy, policy);
         }
     }
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// FNV-1a digest of a result's full JSON serialization.
+fn result_digest(result: &SimResult) -> u64 {
+    fnv1a(serde_json::to_string(result).unwrap().as_bytes())
+}
+
+/// Runs SkyByte-Full tpcc at tiny scale with `policy` and migration `trigger`.
+fn contender_run(policy: PolicyConfig, trigger: MigrationPolicyKind) -> SimResult {
+    let scale = ExperimentScale::tiny();
+    let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
+    cfg.policy = policy;
+    cfg.migration.policy = trigger;
+    Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).run()
+}
+
+/// Runs the co-located ycsb + tpcc pair at tiny scale under `tenant_sched`.
+fn co_located_run(tenant_sched: TenantSchedKind) -> SimResult {
+    let mut sim = Simulation::build_multi(
+        VariantKind::SkyByteFull,
+        &[(WorkloadKind::Ycsb, 4), (WorkloadKind::Tpcc, 4)],
+        &ExperimentScale::tiny(),
+    );
+    sim.config_mut().policy.tenant_sched = tenant_sched;
+    sim.run()
+}
+
+#[test]
+fn every_contender_result_is_pinned() {
+    // The golden corpus pins only the default policies. This pins every
+    // off-default contender, so a refactor of the policy layer cannot change
+    // what any of them decides without failing here. Re-pin only for an
+    // intended behaviour change of the named contender.
+    let adaptive = MigrationPolicyKind::Adaptive;
+    let mut runs: Vec<(String, SimResult)> = Vec::new();
+    for eviction in EvictionPolicyKind::ALL {
+        for hotness in HotnessPolicyKind::ALL {
+            let policy = PolicyConfig {
+                eviction,
+                hotness,
+                ..PolicyConfig::default()
+            };
+            // `lru` duplicates `pseudo-lru` decision for decision.
+            if !policy.is_default() && eviction != EvictionPolicyKind::Lru {
+                runs.push((
+                    format!("{eviction}/{hotness}"),
+                    contender_run(policy, adaptive),
+                ));
+            }
+        }
+    }
+    let bypass = PolicyConfig {
+        admission: AdmissionPolicyKind::BypassScan,
+        ..PolicyConfig::default()
+    };
+    runs.push(("bypass-scan".into(), contender_run(bypass, adaptive)));
+    for sched in [TenantSchedKind::FairShare, TenantSchedKind::Qos] {
+        runs.push((format!("{sched} ycsb+tpcc"), co_located_run(sched)));
+    }
+    for trigger in [
+        MigrationPolicyKind::Tpp,
+        MigrationPolicyKind::AstriFlash,
+        MigrationPolicyKind::Disabled,
+    ] {
+        runs.push((
+            format!("trigger {trigger}"),
+            contender_run(PolicyConfig::default(), trigger),
+        ));
+    }
+
+    let pinned: &[(&str, u64)] = &[
+        ("pseudo-lru/decay", 0xb0a8d490a7ab4bdb),
+        ("pseudo-lru/topk", 0x8ae7ad5b9c021697),
+        ("clock/threshold", 0x0ad2ab8c1f691ac2),
+        ("clock/decay", 0xf9710eb0e4e770ca),
+        ("clock/topk", 0xbedb785f533c705f),
+        ("2q/threshold", 0x5a96a663c334772c),
+        ("2q/decay", 0xf40006770ffaf423),
+        ("2q/topk", 0xe531502d11701a59),
+        ("fifo/threshold", 0x8d70f61a107a27ca),
+        ("fifo/decay", 0x94dae10a17f2c0c9),
+        ("fifo/topk", 0x523860844286681b),
+        ("bypass-scan", 0xe1069f27b859fb37),
+        ("fair-share ycsb+tpcc", 0x490f9aa4e23c8ee6),
+        ("qos ycsb+tpcc", 0x41790a5dce70e2fb),
+        ("trigger tpp", 0x5c1f37ee62108400),
+        ("trigger astriflash", 0x444c4d94a43b3640),
+        ("trigger disabled", 0x8871da4fd9a850b0),
+    ];
+    let got: Vec<(String, u64)> = runs
+        .iter()
+        .map(|(label, r)| (label.clone(), result_digest(r)))
+        .collect();
+    let listing: String = got
+        .iter()
+        .map(|(label, d)| format!("        (\"{label}\", {d:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64)> = pinned.iter().map(|&(l, d)| (l.to_string(), d)).collect();
+    assert_eq!(
+        got, want,
+        "contender digests moved; current values:\n{listing}"
+    );
+
+    // Fleet placement and rebalance: three devices, six tenants sized so a
+    // perfect first-fit packing fills two devices and leaves one empty, and
+    // two rounds so a rebalance has somewhere to move a tenant.
+    let runner = Runner::new(2);
+    let scale = ExperimentScale::tiny().with_accesses_per_thread(200);
+    let mut assignments = Vec::new();
+    for placement in PlacementPolicyKind::ALL {
+        for rebalance in RebalancePolicyKind::ALL {
+            let mut cfg = FleetConfig::new(3, VariantKind::SkyByteFull, scale);
+            cfg.tenants = fleet_population(&scale, 2, 6);
+            cfg.placement = placement;
+            cfg.rebalance = rebalance;
+            cfg.rounds = 2;
+            let fr = run_fleet(&runner, &cfg);
+            assignments.push((format!("{placement}+{rebalance}"), fr.assignment));
+        }
+    }
+    let pinned_fleet: &[(&str, &[usize])] = &[
+        ("first-fit+pin", &[0, 0, 0, 1, 1, 1]),
+        ("first-fit+swap-worst", &[0, 2, 0, 1, 1, 1]),
+        ("round-robin+pin", &[0, 1, 2, 0, 1, 2]),
+        ("round-robin+swap-worst", &[0, 0, 2, 0, 1, 2]),
+        ("interference+pin", &[0, 0, 2, 2, 1, 1]),
+        ("interference+swap-worst", &[2, 0, 2, 2, 1, 1]),
+    ];
+    let want: Vec<(String, Vec<usize>)> = pinned_fleet
+        .iter()
+        .map(|&(l, a)| (l.to_string(), a.to_vec()))
+        .collect();
+    assert_eq!(assignments, want, "fleet assignments moved");
 }
