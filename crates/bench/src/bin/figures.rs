@@ -352,6 +352,9 @@ fn main() -> ExitCode {
     }
     if telemetry.enabled {
         let outputs = runner.telemetry_outputs();
+        // Memo hits recall a cached result without re-running, so they
+        // carry no telemetry; say how many runs that left out.
+        let skipped = runner.memo_hits();
         if let Some(path) = &opts.metrics {
             let csv = metrics_csv(
                 outputs
@@ -363,7 +366,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             eprintln!(
-                "[figures] metrics: {} run(s) sampled into {}",
+                "[figures] metrics: {} run(s) sampled into {} \
+                 ({skipped} memo hit(s) contributed no telemetry)",
                 outputs.len(),
                 path.display()
             );
@@ -382,7 +386,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             eprintln!(
-                "[figures] timeline: {} run(s) written to {} (open in Perfetto)",
+                "[figures] timeline: {} run(s) written to {} (open in Perfetto; \
+                 {skipped} memo hit(s) contributed no telemetry)",
                 outputs.len(),
                 path.display()
             );

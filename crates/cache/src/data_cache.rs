@@ -8,9 +8,7 @@
 //! stay clean unless explicitly updated in parallel with the log (W2 of
 //! Figure 11).
 
-use crate::policy::{
-    AdmissionPolicy, AdmissionPolicyImpl, EvictionPolicy, EvictionPolicyImpl, WayMeta,
-};
+use crate::policy::{Admission, Eviction, WayMeta};
 use serde::{Deserialize, Serialize};
 use skybyte_types::policy::{AdmissionPolicyKind, EvictionPolicyKind};
 use skybyte_types::{CachelineIndex, Lpa, CACHELINES_PER_PAGE, PAGE_SIZE};
@@ -60,7 +58,7 @@ pub struct DataCacheStats {
     pub admission_bypasses: u64,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct PageEntry {
     lpa: Lpa,
     dirty_bitmap: u64,
@@ -69,8 +67,8 @@ struct PageEntry {
 
 /// A set-associative, page-granular cache indexed by logical page address.
 ///
-/// Replacement and admission decisions are delegated to the policy seams of
-/// [`crate::policy`]; the defaults (pseudo-LRU, admit-all) reproduce the
+/// Replacement and admission decisions are made by [`Eviction`] and
+/// [`Admission`]; the defaults (pseudo-LRU, admit-all) reproduce the
 /// original hard-wired cache decision for decision.
 ///
 /// # Example
@@ -85,7 +83,7 @@ struct PageEntry {
 /// cache.mark_dirty(Lpa::new(1), 3);
 /// assert_eq!(cache.dirty_bitmap(Lpa::new(1)), Some(1 << 3));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCache {
     sets: Vec<Vec<PageEntry>>,
     /// Per-way replacement metadata, kept in lockstep with `sets`.
@@ -93,8 +91,8 @@ pub struct DataCache {
     ways: usize,
     capacity_pages: usize,
     tick: u64,
-    eviction: EvictionPolicyImpl,
-    admission: AdmissionPolicyImpl,
+    eviction: Eviction,
+    admission: Admission,
     stats: DataCacheStats,
 }
 
@@ -140,20 +138,10 @@ impl DataCache {
             ways,
             capacity_pages: sets * ways,
             tick: 0,
-            eviction: EvictionPolicyImpl::new(eviction, sets, ways),
-            admission: AdmissionPolicyImpl::new(admission),
+            eviction: Eviction::new(eviction, sets, ways),
+            admission: Admission::new(admission),
             stats: DataCacheStats::default(),
         }
-    }
-
-    /// The active eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicyKind {
-        self.eviction.kind()
-    }
-
-    /// The active admission policy.
-    pub fn admission_policy(&self) -> AdmissionPolicyKind {
-        self.admission.kind()
     }
 
     fn set_of(&self, lpa: Lpa) -> usize {
@@ -170,7 +158,7 @@ impl DataCache {
         match found {
             Some(way) => {
                 self.meta[set][way].last_access = tick;
-                self.eviction.on_hit(set, way, &mut self.meta[set]);
+                self.eviction.on_hit(way, &mut self.meta[set]);
                 self.sets[set][way].accessed_bitmap |= 1u64 << (cl as usize % CACHELINES_PER_PAGE);
                 self.stats.hits += 1;
                 true
@@ -201,7 +189,7 @@ impl DataCache {
         let set = self.set_of(lpa);
         if let Some(way) = self.sets[set].iter().position(|e| e.lpa == lpa) {
             self.meta[set][way].last_access = tick;
-            self.eviction.on_hit(set, way, &mut self.meta[set]);
+            self.eviction.on_hit(way, &mut self.meta[set]);
             return None;
         }
         if !self.admission.admit(lpa) {
@@ -231,8 +219,6 @@ impl DataCache {
             accessed_bitmap: 0,
         });
         self.meta[set].push(WayMeta::inserted(tick));
-        let way = self.sets[set].len() - 1;
-        self.eviction.on_insert(set, way, &mut self.meta[set]);
         evicted
     }
 
@@ -419,8 +405,8 @@ mod tests {
     #[test]
     fn default_policies_are_pseudo_lru_admit_all() {
         let c = DataCache::new(4 * 4096, 4);
-        assert_eq!(c.eviction_policy(), EvictionPolicyKind::PseudoLru);
-        assert_eq!(c.admission_policy(), AdmissionPolicyKind::AdmitAll);
+        assert!(matches!(c.eviction, Eviction::PseudoLru));
+        assert!(matches!(c.admission, Admission::AdmitAll));
     }
 
     #[test]

@@ -53,5 +53,5 @@ mod write_log;
 pub use data_cache::{DataCache, DataCacheStats, EvictedPage};
 pub use log_index::{LogIndex, LogIndexStats};
 pub use partition::WriteLogPartitions;
-pub use policy::{AdmissionPolicy, EvictionPolicy};
+pub use policy::{Admission, Eviction};
 pub use write_log::{AppendOutcome, CompactionPlan, PageFlush, WriteLog, WriteLogStats};

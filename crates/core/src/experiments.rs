@@ -816,7 +816,7 @@ pub(crate) fn mt_solo_twin(
 ///
 /// For every variant × scenario, the co-located tenants run together on one
 /// device via [`Simulation::build_multi`], and each tenant additionally runs
-/// **solo** as its exact twin ([`mt_solo_twin`]: same footprint slice,
+/// **solo** as its exact twin (`mt_solo_twin`: same footprint slice,
 /// thread count, seed and per-thread work budget), so any delta is
 /// interference rather than stream or work-size variance. The table
 /// reports, per `(variant, scenario, tenant)` row:

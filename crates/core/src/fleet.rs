@@ -1,10 +1,10 @@
 //! The fleet layer: many devices, pluggable tenant placement.
 //!
 //! SkyByte's deployment setting is pooled CXL-SSD capacity, so above the
-//! single-device [`Simulation`](crate::engine::Simulation) sits a *fleet*: a
-//! rack of `N` identical devices and a population of tenant demands that some
-//! [`PlacementPolicy`] assigns to devices. Each placed device then compiles
-//! down to an ordinary multi-tenant [`RunRequest`] (via
+//! single-device [`Simulation`] sits a *fleet*: a rack of `N` identical
+//! devices and a population of tenant demands that a placement policy
+//! ([`place`]) assigns to devices. Each placed device then compiles down to
+//! an ordinary multi-tenant [`RunRequest`] (via
 //! [`Simulation::build_multi`]), which makes the fleet embarrassingly
 //! parallel under the existing memoizing [`Runner`]:
 //!
@@ -16,10 +16,10 @@
 //!   machinery), so [`FleetResult::slowdowns`] measures interference alone,
 //!   and the twins of equal-composition devices are memoized too.
 //!
-//! A [`RebalancePolicy`] closes the loop: between rounds it may migrate
-//! tenants using the measured per-tenant slowdowns, and only the devices
-//! whose composition actually changed are re-simulated (the rest hit the
-//! memo table).
+//! A rebalance policy ([`rebalance`]) closes the loop: between rounds it may
+//! migrate tenants using the measured per-tenant slowdowns, and only the
+//! devices whose composition actually changed are re-simulated (the rest
+//! hit the memo table).
 //!
 //! [`audit_fleet`] ties the per-device results back to the fleet totals with
 //! five `fleet-*` conservation invariants, mirroring the per-device audit.
@@ -140,188 +140,113 @@ impl FleetConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Placement policies
+// Placement and rebalance policies
 // ---------------------------------------------------------------------------
 
-/// A tenant-placement policy: assigns every tenant to a device before any
-/// simulation runs.
+/// Assigns every tenant a device in `0..devices` under the placement policy
+/// `kind`, before any simulation runs. Returns one device index per tenant
+/// (same order as `tenants`).
 ///
-/// `place` returns one device index per tenant (same order as `tenants`).
-/// Implementations must be deterministic — ties broken by index — because
-/// the assignment feeds device fingerprints and the fleet's byte-stable
-/// output. `scores` carries one interference score per tenant (higher =
-/// more interference-prone); policies that ignore interference receive the
-/// scores anyway and may discard them.
-pub trait PlacementPolicy {
-    /// Which registry kind this policy implements.
-    fn kind(&self) -> PlacementPolicyKind;
-
-    /// Assigns each tenant a device in `0..devices`.
-    fn place(
-        &self,
-        tenants: &[TenantDemand],
-        devices: usize,
-        capacity: u64,
-        scores: &[f64],
-    ) -> Vec<usize>;
+/// Every policy is deterministic — ties broken by index — because the
+/// assignment feeds device fingerprints and the fleet's byte-stable output.
+/// `scores` carries one interference score per tenant (higher = more
+/// interference-prone); only interference-aware placement reads it.
+pub fn place(
+    kind: PlacementPolicyKind,
+    tenants: &[TenantDemand],
+    devices: usize,
+    capacity: u64,
+    scores: &[f64],
+) -> Vec<usize> {
+    match kind {
+        PlacementPolicyKind::FirstFit => first_fit(tenants, devices, capacity),
+        PlacementPolicyKind::RoundRobin => (0..tenants.len()).map(|i| i % devices).collect(),
+        PlacementPolicyKind::InterferenceAware => {
+            interference_aware(tenants, devices, capacity, scores)
+        }
+    }
 }
 
 /// First-fit bin packing: tenants in index order, each onto the first device
 /// with enough remaining capacity (falling back to the device with the most
 /// remaining capacity when none fits — the fleet audit then reports the
 /// overflow).
-pub struct FirstFitPlacement;
-
-impl PlacementPolicy for FirstFitPlacement {
-    fn kind(&self) -> PlacementPolicyKind {
-        PlacementPolicyKind::FirstFit
-    }
-
-    fn place(
-        &self,
-        tenants: &[TenantDemand],
-        devices: usize,
-        capacity: u64,
-        _scores: &[f64],
-    ) -> Vec<usize> {
-        let mut used = vec![0u64; devices];
-        tenants
-            .iter()
-            .map(|t| {
-                let d = (0..devices)
-                    .find(|&d| used[d] + t.footprint_bytes <= capacity)
-                    .unwrap_or_else(|| (0..devices).min_by_key(|&d| used[d]).expect("devices > 0"));
-                used[d] += t.footprint_bytes;
-                d
-            })
-            .collect()
-    }
-}
-
-/// Round-robin: tenant `i` onto device `i mod devices`, ignoring footprints.
-pub struct RoundRobinPlacement;
-
-impl PlacementPolicy for RoundRobinPlacement {
-    fn kind(&self) -> PlacementPolicyKind {
-        PlacementPolicyKind::RoundRobin
-    }
-
-    fn place(
-        &self,
-        tenants: &[TenantDemand],
-        devices: usize,
-        _capacity: u64,
-        _scores: &[f64],
-    ) -> Vec<usize> {
-        (0..tenants.len()).map(|i| i % devices).collect()
-    }
+fn first_fit(tenants: &[TenantDemand], devices: usize, capacity: u64) -> Vec<usize> {
+    let mut used = vec![0u64; devices];
+    tenants
+        .iter()
+        .map(|t| {
+            let d = (0..devices)
+                .find(|&d| used[d] + t.footprint_bytes <= capacity)
+                .unwrap_or_else(|| (0..devices).min_by_key(|&d| used[d]).expect("devices > 0"));
+            used[d] += t.footprint_bytes;
+            d
+        })
+        .collect()
 }
 
 /// Interference-aware placement: tenants in decreasing interference-score
 /// order (ties by index), each onto the device with the least accumulated
 /// score that still has capacity (ties by device index), so the most
 /// interference-prone tenants are spread rather than stacked.
-pub struct InterferenceAwarePlacement;
-
-impl PlacementPolicy for InterferenceAwarePlacement {
-    fn kind(&self) -> PlacementPolicyKind {
-        PlacementPolicyKind::InterferenceAware
+fn interference_aware(
+    tenants: &[TenantDemand],
+    devices: usize,
+    capacity: u64,
+    scores: &[f64],
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..tenants.len()).collect();
+    // Sort by score descending, index ascending: total order, so the
+    // placement is deterministic for any score vector.
+    order.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let mut used = vec![0u64; devices];
+    let mut load = vec![0f64; devices];
+    let mut assignment = vec![0usize; tenants.len()];
+    for i in order {
+        let fits = |d: &usize| used[*d] + tenants[i].footprint_bytes <= capacity;
+        let candidates: Vec<usize> = (0..devices).filter(|d| fits(d)).collect();
+        let pool = if candidates.is_empty() {
+            (0..devices).collect()
+        } else {
+            candidates
+        };
+        let d = pool
+            .into_iter()
+            .min_by(|&a, &b| {
+                load[a]
+                    .partial_cmp(&load[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            })
+            .expect("devices > 0");
+        used[d] += tenants[i].footprint_bytes;
+        load[d] += scores[i];
+        assignment[i] = d;
     }
-
-    fn place(
-        &self,
-        tenants: &[TenantDemand],
-        devices: usize,
-        capacity: u64,
-        scores: &[f64],
-    ) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..tenants.len()).collect();
-        // Sort by score descending, index ascending: total order, so the
-        // placement is deterministic for any score vector.
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut used = vec![0u64; devices];
-        let mut load = vec![0f64; devices];
-        let mut assignment = vec![0usize; tenants.len()];
-        for i in order {
-            let fits = |d: &usize| used[*d] + tenants[i].footprint_bytes <= capacity;
-            let candidates: Vec<usize> = (0..devices).filter(|d| fits(d)).collect();
-            let pool = if candidates.is_empty() {
-                (0..devices).collect()
-            } else {
-                candidates
-            };
-            let d = pool
-                .into_iter()
-                .min_by(|&a, &b| {
-                    load[a]
-                        .partial_cmp(&load[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                })
-                .expect("devices > 0");
-            used[d] += tenants[i].footprint_bytes;
-            load[d] += scores[i];
-            assignment[i] = d;
-        }
-        assignment
-    }
+    assignment
 }
 
-/// Resolves a placement kind to its implementation.
-pub fn placement_policy(kind: PlacementPolicyKind) -> Box<dyn PlacementPolicy> {
+/// Returns the next round's assignment (one device index per tenant) under
+/// the rebalance policy `kind`, given the measured per-tenant slowdowns of
+/// one round. Like placement, deterministic with index-based tie-breaks.
+pub fn rebalance(
+    kind: RebalancePolicyKind,
+    assignment: &[usize],
+    tenants: &[TenantDemand],
+    devices: usize,
+    capacity: u64,
+    slowdowns: &[f64],
+) -> Vec<usize> {
     match kind {
-        PlacementPolicyKind::FirstFit => Box::new(FirstFitPlacement),
-        PlacementPolicyKind::RoundRobin => Box::new(RoundRobinPlacement),
-        PlacementPolicyKind::InterferenceAware => Box::new(InterferenceAwarePlacement),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rebalance policies
-// ---------------------------------------------------------------------------
-
-/// A cross-device rebalance policy: given the measured per-tenant slowdowns
-/// of one round, produces the assignment for the next round.
-///
-/// Like placement, implementations must be deterministic with index-based
-/// tie-breaks.
-pub trait RebalancePolicy {
-    /// Which registry kind this policy implements.
-    fn kind(&self) -> RebalancePolicyKind;
-
-    /// Returns the next round's assignment (one device index per tenant).
-    fn rebalance(
-        &self,
-        assignment: &[usize],
-        tenants: &[TenantDemand],
-        devices: usize,
-        capacity: u64,
-        slowdowns: &[f64],
-    ) -> Vec<usize>;
-}
-
-/// Never move a tenant after initial placement.
-pub struct PinRebalance;
-
-impl RebalancePolicy for PinRebalance {
-    fn kind(&self) -> RebalancePolicyKind {
-        RebalancePolicyKind::Pin
-    }
-
-    fn rebalance(
-        &self,
-        assignment: &[usize],
-        _tenants: &[TenantDemand],
-        _devices: usize,
-        _capacity: u64,
-        _slowdowns: &[f64],
-    ) -> Vec<usize> {
-        assignment.to_vec()
+        RebalancePolicyKind::Pin => assignment.to_vec(),
+        RebalancePolicyKind::SwapWorst => {
+            swap_worst(assignment, tenants, devices, capacity, slowdowns)
+        }
     }
 }
 
@@ -329,70 +254,53 @@ impl RebalancePolicy for PinRebalance {
 /// lowest mean slowdown that can hold it (empty devices count as mean 0, so
 /// spare devices absorb the victim first). If no other device has room, the
 /// assignment is unchanged.
-pub struct SwapWorstRebalance;
-
-impl RebalancePolicy for SwapWorstRebalance {
-    fn kind(&self) -> RebalancePolicyKind {
-        RebalancePolicyKind::SwapWorst
+fn swap_worst(
+    assignment: &[usize],
+    tenants: &[TenantDemand],
+    devices: usize,
+    capacity: u64,
+    slowdowns: &[f64],
+) -> Vec<usize> {
+    let mut next = assignment.to_vec();
+    // The victim: worst slowdown, ties by lowest tenant index.
+    let Some(victim) = (0..tenants.len()).max_by(|&a, &b| {
+        slowdowns[a]
+            .partial_cmp(&slowdowns[b])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.cmp(&a))
+    }) else {
+        return next;
+    };
+    let mut used = vec![0u64; devices];
+    let mut sum = vec![0f64; devices];
+    let mut count = vec![0usize; devices];
+    for (t, &d) in assignment.iter().enumerate() {
+        used[d] += tenants[t].footprint_bytes;
+        sum[d] += slowdowns[t];
+        count[d] += 1;
     }
-
-    fn rebalance(
-        &self,
-        assignment: &[usize],
-        tenants: &[TenantDemand],
-        devices: usize,
-        capacity: u64,
-        slowdowns: &[f64],
-    ) -> Vec<usize> {
-        let mut next = assignment.to_vec();
-        // The victim: worst slowdown, ties by lowest tenant index.
-        let Some(victim) = (0..tenants.len()).max_by(|&a, &b| {
-            slowdowns[a]
-                .partial_cmp(&slowdowns[b])
+    let from = assignment[victim];
+    let mean = |d: usize| {
+        if count[d] == 0 {
+            0.0
+        } else {
+            sum[d] / count[d] as f64
+        }
+    };
+    let target = (0..devices)
+        .filter(|&d| d != from && used[d] + tenants[victim].footprint_bytes <= capacity)
+        .min_by(|&a, &b| {
+            mean(a)
+                .partial_cmp(&mean(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.cmp(&a))
-        }) else {
-            return next;
-        };
-        let mut used = vec![0u64; devices];
-        let mut sum = vec![0f64; devices];
-        let mut count = vec![0usize; devices];
-        for (t, &d) in assignment.iter().enumerate() {
-            used[d] += tenants[t].footprint_bytes;
-            sum[d] += slowdowns[t];
-            count[d] += 1;
+                .then(a.cmp(&b))
+        });
+    if let Some(d) = target {
+        if mean(d) < mean(from) {
+            next[victim] = d;
         }
-        let from = assignment[victim];
-        let mean = |d: usize| {
-            if count[d] == 0 {
-                0.0
-            } else {
-                sum[d] / count[d] as f64
-            }
-        };
-        let target = (0..devices)
-            .filter(|&d| d != from && used[d] + tenants[victim].footprint_bytes <= capacity)
-            .min_by(|&a, &b| {
-                mean(a)
-                    .partial_cmp(&mean(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-        if let Some(d) = target {
-            if mean(d) < mean(from) {
-                next[victim] = d;
-            }
-        }
-        next
     }
-}
-
-/// Resolves a rebalance kind to its implementation.
-pub fn rebalance_policy(kind: RebalancePolicyKind) -> Box<dyn RebalancePolicy> {
-    match kind {
-        RebalancePolicyKind::Pin => Box::new(PinRebalance),
-        RebalancePolicyKind::SwapWorst => Box::new(SwapWorstRebalance),
-    }
+    next
 }
 
 // ---------------------------------------------------------------------------
@@ -609,7 +517,8 @@ pub fn run_fleet(runner: &Runner, cfg: &FleetConfig) -> FleetResult {
     } else {
         vec![0.0; cfg.tenants.len()]
     };
-    let mut assignment = placement_policy(cfg.placement).place(
+    let mut assignment = place(
+        cfg.placement,
         &cfg.tenants,
         cfg.devices,
         cfg.device_capacity(),
@@ -617,7 +526,8 @@ pub fn run_fleet(runner: &Runner, cfg: &FleetConfig) -> FleetResult {
     );
     let mut outcome = run_round(runner, cfg, &assignment);
     for _ in 1..cfg.rounds {
-        assignment = rebalance_policy(cfg.rebalance).rebalance(
+        assignment = rebalance(
+            cfg.rebalance,
             &assignment,
             &cfg.tenants,
             cfg.devices,
@@ -892,7 +802,7 @@ mod tests {
             demand(WorkloadKind::Bc, 50),
             demand(WorkloadKind::Srad, 40),
         ];
-        let got = FirstFitPlacement.place(&tenants, 3, 100, &[0.0; 4]);
+        let got = place(PlacementPolicyKind::FirstFit, &tenants, 3, 100, &[0.0; 4]);
         // 60 -> dev 0; 50 -> dev 1 (0 is too full); 50 -> dev 1; 40 -> dev 0.
         assert_eq!(got, vec![0, 1, 1, 0]);
         // When nothing fits, overflow lands on the emptiest device instead
@@ -901,14 +811,17 @@ mod tests {
             demand(WorkloadKind::Ycsb, 90),
             demand(WorkloadKind::Tpcc, 90),
         ];
-        assert_eq!(FirstFitPlacement.place(&big, 1, 100, &[0.0; 2]), vec![0, 0]);
+        assert_eq!(
+            place(PlacementPolicyKind::FirstFit, &big, 1, 100, &[0.0; 2]),
+            vec![0, 0]
+        );
     }
 
     #[test]
     fn round_robin_strides_devices() {
         let tenants = vec![demand(WorkloadKind::Ycsb, 1); 5];
         assert_eq!(
-            RoundRobinPlacement.place(&tenants, 3, 100, &[0.0; 5]),
+            place(PlacementPolicyKind::RoundRobin, &tenants, 3, 100, &[0.0; 5]),
             vec![0, 1, 2, 0, 1]
         );
     }
@@ -918,7 +831,13 @@ mod tests {
         let tenants = vec![demand(WorkloadKind::Ycsb, 10); 4];
         // Two hot tenants (indices 2, 3) must land on different devices.
         let scores = [1.0, 1.0, 5.0, 5.0];
-        let got = InterferenceAwarePlacement.place(&tenants, 2, 100, &scores);
+        let got = place(
+            PlacementPolicyKind::InterferenceAware,
+            &tenants,
+            2,
+            100,
+            &scores,
+        );
         assert_ne!(got[2], got[3], "hot tenants stacked: {got:?}");
         assert_ne!(got[0], got[1], "cold tenants stacked: {got:?}");
     }
@@ -932,10 +851,24 @@ mod tests {
         ];
         // Device 0 holds tenants 0+1 (suffering), device 1 holds tenant 2,
         // device 2 is empty: the worst tenant (1) moves to the empty device.
-        let next = SwapWorstRebalance.rebalance(&[0, 0, 1], &tenants, 3, 100, &[2.0, 3.0, 1.1]);
+        let next = rebalance(
+            RebalancePolicyKind::SwapWorst,
+            &[0, 0, 1],
+            &tenants,
+            3,
+            100,
+            &[2.0, 3.0, 1.1],
+        );
         assert_eq!(next, vec![0, 2, 1]);
         // Pin never moves anyone.
-        let pinned = PinRebalance.rebalance(&[0, 0, 1], &tenants, 3, 100, &[2.0, 3.0, 1.1]);
+        let pinned = rebalance(
+            RebalancePolicyKind::Pin,
+            &[0, 0, 1],
+            &tenants,
+            3,
+            100,
+            &[2.0, 3.0, 1.1],
+        );
         assert_eq!(pinned, vec![0, 0, 1]);
     }
 

@@ -54,15 +54,11 @@ pub mod thread_exec;
 pub use engine::{Simulation, TraceDrive};
 pub use event::{Event, EventQueue};
 pub use fleet::{
-    audit_fleet, device_groups, fig_fleet, interference_scores, placement_policy, rebalance_policy,
-    run_fleet, DeviceOutcome, FleetConfig, FleetResult, PlacementPolicy, RebalancePolicy,
-    TenantDemand,
+    audit_fleet, device_groups, fig_fleet, interference_scores, run_fleet, DeviceOutcome,
+    FleetConfig, FleetResult, TenantDemand,
 };
 pub use metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
-pub use migration::{
-    AdaptiveTrigger, AstriFlashTrigger, DisabledTrigger, MigrationEngine, MigrationTrigger,
-    TppTrigger,
-};
+pub use migration::MigrationEngine;
 pub use report::{figure_table, figure_table_named, paper_table, render_figure, render_table};
 pub use runner::{PerfReport, RunRequest, RunTiming, Runner};
 pub use scale::ExperimentScale;
@@ -71,5 +67,4 @@ pub use telemetry::{
     chrome_trace_json, metrics_csv, MetricsLog, MetricsSample, Telemetry, TelemetryOutput,
     Timeline, TimelineEvent,
 };
-pub use tenant_sched::{FairShareScheduler, PassthroughScheduler, QosScheduler, TenantScheduler};
 pub use thread_exec::ThreadExecutor;

@@ -1,23 +1,23 @@
 //! Page migration between the CXL-SSD and host DRAM (§III-C and §VI-H).
 //!
-//! The *when and what to promote* decision is the [`MigrationTrigger`] seam;
-//! the engine owns the mechanism (PLB tracking, CXL page copies, PTE/TLB
-//! updates, budget-driven demotion). The paper's promotion policies are the
-//! trigger implementations:
+//! [`MigrationEngine`] owns the mechanism (PLB tracking, CXL page copies,
+//! PTE/TLB updates, budget-driven demotion). The *when and what to promote*
+//! decision is a `match` on the configured [`MigrationPolicyKind`], one arm
+//! per promotion policy of the paper:
 //!
-//! * [`AdaptiveTrigger`] (SkyByte): the SSD controller tracks per-page access
-//!   counts and nominates hot, cache-resident pages; the OS copies them into
-//!   its promotion pool, updates the PTE and shoots down the TLB entry. The
+//! * `adaptive` (SkyByte): the SSD controller tracks per-page access counts
+//!   and nominates hot, cache-resident pages; the OS copies them into its
+//!   promotion pool, updates the PTE and shoots down the TLB entry. The
 //!   Promotion Look-aside Buffer keeps concurrent accesses consistent while
 //!   the copy is in flight.
-//! * [`TppTrigger`] (SkyByte-CT / -WCT): the OS samples accesses periodically
-//!   and promotes pages touched at least twice in a window — less accurate
-//!   than the controller's exact counters. The per-period promotion budget
-//!   is a policy parameter carried by the trigger's sampler.
-//! * [`AstriFlashTrigger`]: the host DRAM acts as an on-demand page cache of
-//!   the SSD; every SSD read miss fills the page into host DRAM, evicting on
+//! * `tpp` (SkyByte-CT / -WCT): the OS samples accesses periodically and
+//!   promotes pages touched at least twice in a window — less accurate than
+//!   the controller's exact counters. The per-period promotion budget is a
+//!   parameter of the [`TppSampler`].
+//! * `astriflash`: the host DRAM acts as an on-demand page cache of the SSD;
+//!   every SSD read miss fills the page into host DRAM, evicting on
 //!   conflict. The background pass never promotes.
-//! * [`DisabledTrigger`]: no migration at all.
+//! * `disabled`: no migration at all.
 //!
 //! When the promotion budget is exhausted, a cold page (Linux-style
 //! active/inactive reclamation) is evicted back to the SSD first.
@@ -27,10 +27,7 @@ use skybyte_cpu::HostDram;
 use skybyte_cxl::{CxlPort, PromotionLookasideBuffer};
 use skybyte_os::{HostMemoryPool, PageTable, PoolDecision, Tlb, TppSampler};
 use skybyte_ssd::SsdController;
-use skybyte_types::{
-    Lpa, MigrationConfig, MigrationPolicyKind, Nanos, PageNumber, SimConfig, PAGE_SIZE,
-};
-use std::fmt;
+use skybyte_types::{Lpa, MigrationPolicyKind, Nanos, PageNumber, SimConfig, PAGE_SIZE};
 
 /// Counters of migration activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,129 +60,26 @@ pub struct MigrationContext<'a> {
 
 /// The *decision* half of page migration: when the background pass runs,
 /// which page (if any) should move to host DRAM, and whether SSD read misses
-/// promote on demand.
-///
-/// The [`MigrationEngine`] owns the *mechanism* (PLB tracking, CXL copies,
-/// PTE/TLB updates, budget-driven demotion) and consults its trigger for the
-/// decisions. Implementations are constructed by [`migration_trigger`] from
-/// the configured [`MigrationPolicyKind`].
-pub trait MigrationTrigger: fmt::Debug {
-    /// The policy this trigger implements (drives reporting and the
-    /// engine's [`MigrationEngine::policy`] accessor).
-    fn kind(&self) -> MigrationPolicyKind;
-
-    /// Observes an access to an SSD-resident page. Only sampling-based
-    /// triggers (TPP) need this; the default is a no-op.
-    fn record_ssd_access(&mut self, _lpa: Lpa, _now: Nanos) {}
-
-    /// Nominates at most one page for promotion on a background run.
-    fn background_candidate(&mut self, now: Nanos, ssd: &mut SsdController) -> Option<Lpa>;
-
-    /// Whether SSD read misses should be promoted on demand (AstriFlash's
-    /// page-cache semantics). Defaults to `false`.
-    fn promotes_on_demand(&self) -> bool {
-        false
-    }
-}
-
-/// SkyByte's adaptive policy: defer to the SSD controller's hotness tracker,
-/// which nominates hot cache-resident pages (§III-C).
-#[derive(Debug, Default)]
-pub struct AdaptiveTrigger;
-
-impl MigrationTrigger for AdaptiveTrigger {
-    fn kind(&self) -> MigrationPolicyKind {
-        MigrationPolicyKind::Adaptive
-    }
-
-    fn background_candidate(&mut self, _now: Nanos, ssd: &mut SsdController) -> Option<Lpa> {
-        ssd.promotion_candidate()
-    }
-}
-
-/// OS-level TPP sampling: promote pages touched at least twice in a sampling
-/// window, up to the per-period budget the sampler was configured with.
+/// promote on demand. Built from the configured [`MigrationPolicyKind`].
 #[derive(Debug)]
-pub struct TppTrigger {
-    sampler: TppSampler,
-}
-
-impl TppTrigger {
-    /// Builds the trigger with the sampling period and per-period promotion
-    /// budget from `cfg` (`tpp_promotions_per_period` is the policy's budget
-    /// parameter).
-    pub fn new(cfg: &MigrationConfig) -> Self {
-        TppTrigger {
-            sampler: TppSampler::new(cfg),
-        }
-    }
-}
-
-impl MigrationTrigger for TppTrigger {
-    fn kind(&self) -> MigrationPolicyKind {
-        MigrationPolicyKind::Tpp
-    }
-
-    fn record_ssd_access(&mut self, lpa: Lpa, now: Nanos) {
-        self.sampler.record_access(lpa, now);
-    }
-
-    fn background_candidate(&mut self, now: Nanos, _ssd: &mut SsdController) -> Option<Lpa> {
-        self.sampler.roll_window(now);
-        self.sampler.take_candidate()
-    }
-}
-
-/// AstriFlash: host DRAM is an on-demand page cache of the SSD — every read
-/// miss fills, the background pass never promotes.
-#[derive(Debug, Default)]
-pub struct AstriFlashTrigger;
-
-impl MigrationTrigger for AstriFlashTrigger {
-    fn kind(&self) -> MigrationPolicyKind {
-        MigrationPolicyKind::AstriFlash
-    }
-
-    fn background_candidate(&mut self, _now: Nanos, _ssd: &mut SsdController) -> Option<Lpa> {
-        None
-    }
-
-    fn promotes_on_demand(&self) -> bool {
-        true
-    }
-}
-
-/// No migration at all.
-#[derive(Debug, Default)]
-pub struct DisabledTrigger;
-
-impl MigrationTrigger for DisabledTrigger {
-    fn kind(&self) -> MigrationPolicyKind {
-        MigrationPolicyKind::Disabled
-    }
-
-    fn background_candidate(&mut self, _now: Nanos, _ssd: &mut SsdController) -> Option<Lpa> {
-        None
-    }
-}
-
-/// Constructs the trigger implementing `policy`, parameterised by `cfg`.
-pub fn migration_trigger(
-    policy: MigrationPolicyKind,
-    cfg: &MigrationConfig,
-) -> Box<dyn MigrationTrigger> {
-    match policy {
-        MigrationPolicyKind::Adaptive => Box::new(AdaptiveTrigger),
-        MigrationPolicyKind::Tpp => Box::new(TppTrigger::new(cfg)),
-        MigrationPolicyKind::AstriFlash => Box::new(AstriFlashTrigger),
-        MigrationPolicyKind::Disabled => Box::new(DisabledTrigger),
-    }
+enum Trigger {
+    /// SkyByte's adaptive policy: defer to the SSD controller's hotness
+    /// tracker, which nominates hot cache-resident pages (§III-C).
+    Adaptive,
+    /// OS-level TPP sampling: promote pages touched at least twice in a
+    /// sampling window, up to the sampler's per-period budget.
+    Tpp(TppSampler),
+    /// AstriFlash: host DRAM is an on-demand page cache of the SSD — every
+    /// read miss fills, the background pass never promotes.
+    AstriFlash,
+    /// No migration at all.
+    Disabled,
 }
 
 /// The page-migration engine.
 #[derive(Debug)]
 pub struct MigrationEngine {
-    trigger: Box<dyn MigrationTrigger>,
+    trigger: Trigger,
     pool: HostMemoryPool,
     plb: PromotionLookasideBuffer,
     page_copy_overhead: Nanos,
@@ -194,15 +88,23 @@ pub struct MigrationEngine {
 
 impl MigrationEngine {
     /// Creates the engine for the configuration's migration policy and host
-    /// DRAM promotion budget.
+    /// DRAM promotion budget. A variant that migrates nothing disables
+    /// migration whatever the configured policy.
     pub fn new(cfg: &SimConfig) -> Self {
         let policy = if cfg.variant.migration_policy() != MigrationPolicyKind::Disabled {
             cfg.migration.policy
         } else {
             MigrationPolicyKind::Disabled
         };
+        let trigger = match policy {
+            MigrationPolicyKind::Adaptive => Trigger::Adaptive,
+            // `tpp_promotions_per_period` is the sampler's budget parameter.
+            MigrationPolicyKind::Tpp => Trigger::Tpp(TppSampler::new(&cfg.migration)),
+            MigrationPolicyKind::AstriFlash => Trigger::AstriFlash,
+            MigrationPolicyKind::Disabled => Trigger::Disabled,
+        };
         MigrationEngine {
-            trigger: migration_trigger(policy, &cfg.migration),
+            trigger,
             pool: HostMemoryPool::new(cfg.host_dram.promotion_capacity_bytes),
             plb: PromotionLookasideBuffer::new(cfg.migration.plb_entries.max(1)),
             page_copy_overhead: cfg.migration.page_copy_latency,
@@ -210,14 +112,9 @@ impl MigrationEngine {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> MigrationPolicyKind {
-        self.trigger.kind()
-    }
-
     /// Whether any migration happens at all.
     pub fn enabled(&self) -> bool {
-        self.trigger.kind() != MigrationPolicyKind::Disabled
+        !matches!(self.trigger, Trigger::Disabled)
     }
 
     /// Whether `lpa` currently resides in host DRAM.
@@ -236,22 +133,31 @@ impl MigrationEngine {
         self.pool.record_access(lpa);
     }
 
-    /// Records an access to an SSD-resident page (feeds sampling-based
-    /// triggers such as TPP).
+    /// Records an access to an SSD-resident page (feeds the TPP sampler;
+    /// every other policy ignores it).
     pub fn record_ssd_access(&mut self, lpa: Lpa, now: Nanos) {
-        self.trigger.record_ssd_access(lpa, now);
+        if let Trigger::Tpp(sampler) = &mut self.trigger {
+            sampler.record_access(lpa, now);
+        }
     }
 
-    /// Runs the background promotion policy once: asks the trigger for at
-    /// most one candidate and migrates it. Returns the promoted page, if any.
+    /// Runs the background promotion policy once: nominates at most one
+    /// candidate and migrates it. Returns the promoted page, if any.
     pub fn run(&mut self, now: Nanos, ctx: &mut MigrationContext<'_>) -> Option<Lpa> {
         self.stats.runs += 1;
-        let lpa = self.trigger.background_candidate(now, ctx.ssd)?;
+        let lpa = match &mut self.trigger {
+            Trigger::Adaptive => ctx.ssd.promotion_candidate(),
+            Trigger::Tpp(sampler) => {
+                sampler.roll_window(now);
+                sampler.take_candidate()
+            }
+            Trigger::AstriFlash | Trigger::Disabled => None,
+        }?;
         self.promote_one(lpa, now, ctx)
     }
 
     /// On-demand fill: promote the page that just missed in SSD DRAM. Called
-    /// by the engine on every SSD read miss; a no-op unless the trigger
+    /// by the engine on every SSD read miss; a no-op unless the policy
     /// promotes on demand (AstriFlash).
     pub fn on_demand_fill(
         &mut self,
@@ -259,7 +165,7 @@ impl MigrationEngine {
         now: Nanos,
         ctx: &mut MigrationContext<'_>,
     ) -> Option<Lpa> {
-        if !self.trigger.promotes_on_demand() {
+        if !matches!(self.trigger, Trigger::AstriFlash) {
             return None;
         }
         self.promote_one(lpa, now, ctx)
@@ -426,7 +332,7 @@ mod tests {
         cfg.migration.policy = MigrationPolicyKind::AstriFlash;
         let mut ssd = SsdController::new(&cfg);
         let mut engine = MigrationEngine::new(&cfg);
-        assert_eq!(engine.policy(), MigrationPolicyKind::AstriFlash);
+        assert!(matches!(engine.trigger, Trigger::AstriFlash));
         let mut pt = PageTable::new();
         let mut tlb = Tlb::new(64, Nanos::new(100));
         let mut port = CxlPort::new(Nanos::new(40), 16 << 30);
@@ -467,7 +373,7 @@ mod tests {
         cfg.migration.tpp_sample_period = Nanos::from_micros(10);
         let mut ssd = SsdController::new(&cfg);
         let mut engine = MigrationEngine::new(&cfg);
-        assert_eq!(engine.policy(), MigrationPolicyKind::Tpp);
+        assert!(matches!(engine.trigger, Trigger::Tpp(_)));
         let mut pt = PageTable::new();
         let mut tlb = Tlb::new(64, Nanos::new(100));
         let mut port = CxlPort::new(Nanos::new(40), 16 << 30);

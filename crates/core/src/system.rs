@@ -7,18 +7,15 @@
 //! migration engine, per-core clocks and boundedness) plus all run counters
 //! — and a pipeline of composable steps executed once per work unit:
 //!
-//! 1. [`schedule`](SystemState::schedule) — ensure a thread runs on the
-//!    core whose event fired (or advance through idle time); which runnable
-//!    thread an empty core picks is the pluggable
-//!    [`TenantScheduler`](crate::tenant_sched::TenantScheduler) seam,
-//! 2. [`translate`](SystemState::translate) — compute burst, TLB walk and
-//!    page-table lookup,
-//! 3. [`host_access`](SystemState::host_access) /
-//!    [`ssd_access`](SystemState::ssd_access) — resolve the access in host
-//!    DRAM or across the CXL port (squashing it on a `SkyByte-Delay`
-//!    exception), with background migration between accesses,
-//! 4. [`retire`](SystemState::retire) — commit the core clock and detect
-//!    thread completion.
+//! 1. `schedule` — ensure a thread runs on the core whose event fired (or
+//!    advance through idle time); which runnable thread an empty core picks
+//!    is the configured tenant-scheduling policy
+//!    ([`tenant_sched::schedule_on`]),
+//! 2. `translate` — compute burst, TLB walk and page-table lookup,
+//! 3. `host_access` / `ssd_access` — resolve the access in host DRAM or
+//!    across the CXL port (squashing it on a `SkyByte-Delay` exception),
+//!    with background migration between accesses,
+//! 4. `retire` — commit the core clock and detect thread completion.
 //!
 //! Every instruction, access, squash and latency sample is counted once,
 //! against the issuing thread's tenant ([`TenantMap`]), so multi-tenancy is
@@ -34,14 +31,14 @@
 //! live core keeps one pending event in a monotone queue, idle cores jump
 //! straight to their next wake-up, and cores with no possible wake-up park
 //! until scheduler activity elsewhere revives them. The legacy per-step
-//! min-clock scan survives as [`SystemState::run_reference`], the
+//! min-clock scan survives as `SystemState::run_reference`, the
 //! executable specification the event engine is property-tested against.
 
 use crate::event::EventQueue;
 use crate::metrics::{AmatBreakdown, LayerCounters, RequestBreakdown, SimResult, TenantCounters};
 use crate::migration::{MigrationContext, MigrationEngine};
 use crate::telemetry::{MetricsSample, Telemetry, TelemetryOutput, SAMPLER_CORE};
-use crate::tenant_sched::{tenant_scheduler, TenantScheduler, TenantView};
+use crate::tenant_sched::{self, TenantView};
 use crate::thread_exec::ThreadExecutor;
 use skybyte_cache::WriteLogPartitions;
 use skybyte_cpu::{Boundedness, CoreTimingModel, HostDram};
@@ -100,7 +97,6 @@ pub struct SystemState {
     port: CxlPort,
     host_dram: HostDram,
     sched: Scheduler,
-    tenant_sched: Box<dyn TenantScheduler>,
     // Windowed per-tenant write-log append accounting, maintained only for
     // the `qos` tenant scheduler (None otherwise, so the default pipeline
     // carries no extra state).
@@ -220,7 +216,6 @@ impl SystemState {
             port,
             host_dram,
             sched,
-            tenant_sched: tenant_scheduler(cfg.policy.tenant_sched),
             log_partitions: (cfg.policy.tenant_sched == skybyte_types::TenantSchedKind::Qos).then(
                 || {
                     // One window per log fill: the log holds one 64-byte
@@ -452,10 +447,13 @@ impl SystemState {
         };
         match self.sched.running_on(core as u32) {
             Some(t) => Scheduled::Run(t),
-            None => match self
-                .tenant_sched
-                .schedule_on(&mut self.sched, core as u32, now, &view)
-            {
+            None => match tenant_sched::schedule_on(
+                self.cfg.policy.tenant_sched,
+                &mut self.sched,
+                core as u32,
+                now,
+                &view,
+            ) {
                 Some(t) => Scheduled::Run(t),
                 None => match self.sched.next_wakeup() {
                     // Nothing runnable: idle until the next wake-up (never

@@ -1,151 +1,76 @@
-//! The tenant-scheduling seam of the [`SystemState`](crate::SystemState)
+//! Tenant-aware scheduling in the [`SystemState`](crate::SystemState)
 //! pipeline.
 //!
-//! The pipeline's `schedule` stage asks a [`TenantScheduler`] to place a
-//! thread on an empty core. The default [`PassthroughScheduler`] delegates
-//! straight to the OS scheduler's configured policy (RR / Random / CFS) and
-//! is bit-identical to the pipeline before this seam existed.
-//! [`FairShareScheduler`] reuses the pipeline's per-tenant attribution: it
-//! favours threads of the tenant that has issued the fewest SSD accesses so
-//! far, throttling a noisy neighbour at the scheduler rather than in the
-//! device — but stays work-conserving (if the favoured tenants have nothing
-//! runnable, any runnable thread is picked). [`QosScheduler`] does the same
-//! using the write-log partition accounting
-//! ([`skybyte_cache::WriteLogPartitions`]): tenants whose recent log appends
-//! exceed their even share of the log are deprioritised.
+//! The pipeline's `schedule` stage calls [`schedule_on`] to place a thread
+//! on an empty core, and [`schedule_on`] matches on the configured
+//! [`TenantSchedKind`]:
 //!
-//! No implementation ever blocks a thread or charges a context switch;
-//! the seam only biases *which* runnable thread an empty core picks, so the
-//! audit's squash/context-switch agreement invariant holds under every
-//! contender.
+//! * `passthrough` (the default) delegates straight to the OS scheduler's
+//!   configured policy (RR / Random / CFS) and is bit-identical to the
+//!   pipeline before tenant-aware scheduling existed.
+//! * `fair-share` reuses the pipeline's per-tenant attribution: it favours
+//!   threads of the tenant that has issued the fewest SSD accesses so far,
+//!   throttling a noisy neighbour at the scheduler rather than in the
+//!   device.
+//! * `qos` does the same using the write-log partition accounting
+//!   ([`skybyte_cache::WriteLogPartitions`]): tenants whose recent log
+//!   appends exceed their even share of the log are deprioritised.
+//!
+//! Both biased policies are work-conserving (if the favoured tenants have
+//! nothing runnable, any runnable thread is picked). No policy ever blocks a
+//! thread or charges a context switch; it only biases *which* runnable
+//! thread an empty core picks, so the audit's squash/context-switch
+//! agreement invariant holds under every policy.
 
 use crate::metrics::TenantCounters;
 use skybyte_cache::WriteLogPartitions;
 use skybyte_os::{Scheduler, ThreadId};
 use skybyte_types::{Nanos, TenantMap, TenantSchedKind};
-use std::fmt;
 
-/// Read-only view of the pipeline's tenant attribution state, handed to the
-/// scheduler at each placement decision.
+/// Read-only view of the pipeline's tenant attribution state, handed to
+/// [`schedule_on`] at each placement decision.
 pub struct TenantView<'a> {
     /// The thread → tenant partition of the run.
     pub map: &'a TenantMap,
     /// Per-tenant counters accumulated so far, indexed by dense tenant id.
     pub counters: &'a [TenantCounters],
     /// Windowed per-tenant write-log append accounting, present only when
-    /// the pipeline maintains partitions (the `qos` contender).
+    /// the pipeline maintains partitions (the `qos` policy).
     pub log_pressure: Option<&'a WriteLogPartitions>,
 }
 
-/// Places a thread on an empty core, optionally biased by per-tenant
-/// attribution. Constructed by [`tenant_scheduler`] from the configured
-/// [`TenantSchedKind`].
-pub trait TenantScheduler: fmt::Debug {
-    /// The policy this scheduler implements.
-    fn kind(&self) -> TenantSchedKind;
-
-    /// Picks a thread for `core` at `now`, or `None` if nothing is runnable.
-    fn schedule_on(
-        &mut self,
-        sched: &mut Scheduler,
-        core: u32,
-        now: Nanos,
-        tenants: &TenantView<'_>,
-    ) -> Option<ThreadId>;
-}
-
-/// Default: defer entirely to the OS scheduler's policy. Bit-identical to
-/// the pre-seam pipeline.
-#[derive(Debug, Default)]
-pub struct PassthroughScheduler;
-
-impl TenantScheduler for PassthroughScheduler {
-    fn kind(&self) -> TenantSchedKind {
-        TenantSchedKind::Passthrough
-    }
-
-    fn schedule_on(
-        &mut self,
-        sched: &mut Scheduler,
-        core: u32,
-        now: Nanos,
-        _tenants: &TenantView<'_>,
-    ) -> Option<ThreadId> {
-        sched.schedule_on(core, now)
-    }
-}
-
-/// Favour the tenant with the fewest attributed SSD accesses so far; fall
-/// back to any runnable thread when the favoured tenants have none
-/// (work-conserving).
-#[derive(Debug, Default)]
-pub struct FairShareScheduler;
-
-impl TenantScheduler for FairShareScheduler {
-    fn kind(&self) -> TenantSchedKind {
-        TenantSchedKind::FairShare
-    }
-
-    fn schedule_on(
-        &mut self,
-        sched: &mut Scheduler,
-        core: u32,
-        now: Nanos,
-        tenants: &TenantView<'_>,
-    ) -> Option<ThreadId> {
-        let min = tenants
-            .counters
-            .iter()
-            .map(|c| c.ssd_accesses)
-            .min()
-            .unwrap_or(0);
-        let map = tenants.map;
-        let counters = tenants.counters;
-        sched.schedule_on_filtered(core, now, &mut |tid| {
-            counters
-                .get(map.tenant_of(tid.0).index())
-                .is_none_or(|c| c.ssd_accesses == min)
-        })
-    }
-}
-
-/// Deprioritise tenants whose windowed write-log appends exceed their even
-/// share of the log ([`WriteLogPartitions`]); fall back to any runnable
-/// thread when every in-quota tenant is busy (work-conserving). Without
-/// partition accounting (single-tenant runs before the pipeline wires it
-/// up) this is plain passthrough.
-#[derive(Debug, Default)]
-pub struct QosScheduler;
-
-impl TenantScheduler for QosScheduler {
-    fn kind(&self) -> TenantSchedKind {
-        TenantSchedKind::Qos
-    }
-
-    fn schedule_on(
-        &mut self,
-        sched: &mut Scheduler,
-        core: u32,
-        now: Nanos,
-        tenants: &TenantView<'_>,
-    ) -> Option<ThreadId> {
-        let Some(pressure) = tenants.log_pressure else {
-            return sched.schedule_on(core, now);
-        };
-        let map = tenants.map;
-        sched.schedule_on_filtered(core, now, &mut |tid| {
-            let tenant = map.tenant_of(tid.0).index();
-            tenant >= pressure.tenant_count() || !pressure.over_quota(tenant)
-        })
-    }
-}
-
-/// Constructs the scheduler implementing `kind`.
-pub fn tenant_scheduler(kind: TenantSchedKind) -> Box<dyn TenantScheduler> {
-    match kind {
-        TenantSchedKind::Passthrough => Box::new(PassthroughScheduler),
-        TenantSchedKind::FairShare => Box::new(FairShareScheduler),
-        TenantSchedKind::Qos => Box::new(QosScheduler),
+/// Picks a thread for `core` at `now` under the tenant-scheduling policy
+/// `kind`, or `None` if nothing is runnable.
+///
+/// `qos` without partition accounting (`tenants.log_pressure` is `None`)
+/// is plain passthrough.
+pub fn schedule_on(
+    kind: TenantSchedKind,
+    sched: &mut Scheduler,
+    core: u32,
+    now: Nanos,
+    tenants: &TenantView<'_>,
+) -> Option<ThreadId> {
+    let map = tenants.map;
+    match (kind, tenants.log_pressure) {
+        (TenantSchedKind::Passthrough, _) | (TenantSchedKind::Qos, None) => {
+            sched.schedule_on(core, now)
+        }
+        (TenantSchedKind::FairShare, _) => {
+            let counters = tenants.counters;
+            let min = counters.iter().map(|c| c.ssd_accesses).min().unwrap_or(0);
+            sched.schedule_on_filtered(core, now, &mut |tid| {
+                counters
+                    .get(map.tenant_of(tid.0).index())
+                    .is_none_or(|c| c.ssd_accesses == min)
+            })
+        }
+        (TenantSchedKind::Qos, Some(pressure)) => {
+            sched.schedule_on_filtered(core, now, &mut |tid| {
+                let tenant = map.tenant_of(tid.0).index();
+                tenant >= pressure.tenant_count() || !pressure.over_quota(tenant)
+            })
+        }
     }
 }
 
@@ -185,10 +110,15 @@ mod tests {
             a.spawn();
             b.spawn();
         }
-        let mut ts = PassthroughScheduler;
         for core in 0..4u32 {
             assert_eq!(
-                ts.schedule_on(&mut a, core, Nanos::ZERO, &view),
+                schedule_on(
+                    TenantSchedKind::Passthrough,
+                    &mut a,
+                    core,
+                    Nanos::ZERO,
+                    &view
+                ),
                 b.schedule_on(core, Nanos::ZERO),
             );
         }
@@ -208,10 +138,14 @@ mod tests {
         for _ in 0..4 {
             sched.spawn();
         }
-        let mut ts = FairShareScheduler;
-        let picked = ts
-            .schedule_on(&mut sched, 0, Nanos::ZERO, &view)
-            .expect("runnable");
+        let picked = schedule_on(
+            TenantSchedKind::FairShare,
+            &mut sched,
+            0,
+            Nanos::ZERO,
+            &view,
+        )
+        .expect("runnable");
         assert!(
             picked.0 >= 2,
             "tenant 1 has fewer SSD accesses; its threads must be favoured"
@@ -232,14 +166,23 @@ mod tests {
         sched.spawn();
         // Tenant 1's only thread is already running elsewhere; tenant 0's
         // thread must still be picked rather than idling the core.
-        let mut ts = FairShareScheduler;
-        let first = ts
-            .schedule_on(&mut sched, 0, Nanos::ZERO, &view)
-            .expect("runnable");
+        let first = schedule_on(
+            TenantSchedKind::FairShare,
+            &mut sched,
+            0,
+            Nanos::ZERO,
+            &view,
+        )
+        .expect("runnable");
         assert_eq!(first.0, 1);
-        let second = ts
-            .schedule_on(&mut sched, 1, Nanos::ZERO, &view)
-            .expect("work-conserving fallback");
+        let second = schedule_on(
+            TenantSchedKind::FairShare,
+            &mut sched,
+            1,
+            Nanos::ZERO,
+            &view,
+        )
+        .expect("work-conserving fallback");
         assert_eq!(second.0, 0);
     }
 
@@ -262,10 +205,8 @@ mod tests {
         for _ in 0..4 {
             sched.spawn();
         }
-        let mut ts = QosScheduler;
-        let picked = ts
-            .schedule_on(&mut sched, 0, Nanos::ZERO, &view)
-            .expect("runnable");
+        let picked =
+            schedule_on(TenantSchedKind::Qos, &mut sched, 0, Nanos::ZERO, &view).expect("runnable");
         assert!(
             picked.0 >= 2,
             "tenant 0 is over its log quota; tenant 1's threads must be favoured"
@@ -290,13 +231,10 @@ mod tests {
         let mut sched = Scheduler::new(SchedPolicy::RoundRobin, Nanos::new(100), 1);
         sched.spawn();
         sched.spawn();
-        let mut ts = QosScheduler;
-        let first = ts
-            .schedule_on(&mut sched, 0, Nanos::ZERO, &view)
-            .expect("runnable");
+        let first =
+            schedule_on(TenantSchedKind::Qos, &mut sched, 0, Nanos::ZERO, &view).expect("runnable");
         assert_eq!(first.0, 1, "the in-quota tenant goes first");
-        let second = ts
-            .schedule_on(&mut sched, 1, Nanos::ZERO, &view)
+        let second = schedule_on(TenantSchedKind::Qos, &mut sched, 1, Nanos::ZERO, &view)
             .expect("work-conserving fallback");
         assert_eq!(second.0, 0);
 
@@ -314,7 +252,7 @@ mod tests {
         }
         for core in 0..2u32 {
             assert_eq!(
-                ts.schedule_on(&mut a, core, Nanos::ZERO, &no_parts),
+                schedule_on(TenantSchedKind::Qos, &mut a, core, Nanos::ZERO, &no_parts),
                 b.schedule_on(core, Nanos::ZERO),
             );
         }

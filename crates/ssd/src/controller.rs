@@ -1,7 +1,7 @@
 //! The CXL-SSD controller: request handling, compaction, GC coordination and
 //! promotion support.
 
-use crate::hotness::{HotnessPolicy, HotnessTracker};
+use crate::hotness::HotnessTracker;
 use crate::stats::{AccessBreakdown, ServedBy, SsdStats};
 use crate::trigger::ThresholdPolicy;
 use skybyte_cache::{DataCache, DataCacheStats, WriteLog, WriteLogStats};
@@ -283,7 +283,7 @@ impl SsdController {
     /// any (adaptive policy of §III-C).
     pub fn promotion_candidate(&mut self) -> Option<Lpa> {
         let cache = &self.data_cache;
-        let got = self.hotness.take_candidate(&mut |lpa| cache.contains(lpa));
+        let got = self.hotness.take_candidate(|lpa| cache.contains(lpa));
         self.note_tracked_pages();
         got
     }
@@ -292,11 +292,6 @@ impl SsdController {
     /// [`SsdStats::tracked_pages`].
     fn note_tracked_pages(&mut self) {
         self.stats.tracked_pages = Some(self.hotness.tracked_pages());
-    }
-
-    /// Per-page access count observed by the controller.
-    pub fn page_access_count(&self, lpa: Lpa) -> u32 {
-        self.hotness.count(lpa)
     }
 
     /// Whether a garbage-collection campaign is blocking the device at `now`.
@@ -888,7 +883,7 @@ mod tests {
         // Demotion programs the page back to flash.
         let done = ssd.demote_page(Lpa::new(3), now);
         assert!(done > now);
-        assert!(ssd.page_access_count(Lpa::new(3)) == 0);
+        assert_eq!(ssd.stats().tracked_pages, Some(0), "page 3 is untracked");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   flash access from the per-channel queue occupancy and deciding whether to
 //!   answer with the `SkyByte-Delay` NDR opcode (the controller asks it only
 //!   when the variant enables the coordinated context switch);
-//! * the [`HotnessPolicy`] seam nominates promotion candidates for the
-//!   adaptive page-migration mechanism (§III-C) — [`HotPageTracker`] is the
-//!   paper's exact threshold counter; [`DecayTracker`] and [`TopKTracker`]
-//!   are memory-bounded contenders;
+//! * [`HotnessTracker`] nominates promotion candidates for the adaptive
+//!   page-migration mechanism (§III-C) — the configured hotness policy picks
+//!   the paper's exact threshold counter ([`hotness::HotPageTracker`]) or
+//!   one of two memory-bounded contenders
+//!   ([`hotness::DecayTracker`], [`hotness::TopKTracker`]);
 //! * background **log compaction** (Figure 13) and **garbage collection** are
 //!   executed against the flash channel queues so that their interference with
 //!   foreground reads is visible in the latency estimates.
@@ -52,7 +53,7 @@ mod stats;
 mod trigger;
 
 pub use controller::SsdController;
-pub use hotness::{DecayTracker, HotPageTracker, HotnessPolicy, HotnessTracker, TopKTracker};
+pub use hotness::HotnessTracker;
 pub use stats::{AccessBreakdown, ServedBy, SsdStats};
 pub use trigger::{ThresholdPolicy, TriggerDecision};
 

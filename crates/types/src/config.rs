@@ -703,8 +703,8 @@ pub struct SimConfig {
     /// consulted only when that is not `Disabled`) and the DRAM-Only ideal
     /// placement ([`VariantKind::dram_only`], artifact flag `-d`).
     pub variant: VariantKind,
-    /// Pluggable policy selection for the seams lifted behind traits
-    /// (data-cache eviction/admission, hotness tracking, tenant scheduling).
+    /// Policy selection for the data-cache eviction/admission, hotness
+    /// tracking and tenant-scheduling decisions.
     /// The default reproduces the pre-policy-layer behaviour exactly.
     pub policy: PolicyConfig,
     /// Observe-only telemetry capture (periodic metric sampling and the

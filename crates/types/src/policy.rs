@@ -12,12 +12,12 @@
 //! * [`PlacementPolicyKind`] / [`RebalancePolicyKind`] — the fleet layer's
 //!   tenant-placement and cross-device rebalance seams
 //!   (`skybyte_sim::fleet`),
-//! * plus the pre-existing [`MigrationPolicyKind`](crate::MigrationPolicyKind)
-//!   and [`SchedPolicy`](crate::SchedPolicy), which the unified name registry
+//! * plus the pre-existing [`MigrationPolicyKind`]
+//!   and [`SchedPolicy`], which the unified name registry
 //!   ([`PolicyOverride`]) folds into the same `--policy <name>` namespace.
 //!
 //! [`PolicyConfig`] is the serializable block inside
-//! [`SimConfig`](crate::SimConfig) that carries the four new dimensions. Its
+//! [`SimConfig`] that carries the four new dimensions. Its
 //! `Default` is exactly the behaviour the simulator had before the seams were
 //! lifted behind policies — the golden-trace corpus pins that equivalence bit
 //! for bit.
@@ -87,11 +87,6 @@ pub enum EvictionPolicyKind {
     /// last-access tick (first match wins on ties). The default.
     #[default]
     PseudoLru,
-    /// True LRU via an explicit recency ordering. With the simulator's exact
-    /// per-access ticks this selects the same victims as `PseudoLru` — it is
-    /// kept as a distinct implementation of the seam so approximate variants
-    /// can diverge from it.
-    Lru,
     /// CLOCK (second chance): a per-set hand sweeps entries, clearing
     /// reference bits until it finds an unreferenced victim.
     Clock,
@@ -105,9 +100,8 @@ pub enum EvictionPolicyKind {
 
 impl EvictionPolicyKind {
     /// Every eviction policy, in declaration order.
-    pub const ALL: [EvictionPolicyKind; 5] = [
+    pub const ALL: [EvictionPolicyKind; 4] = [
         EvictionPolicyKind::PseudoLru,
-        EvictionPolicyKind::Lru,
         EvictionPolicyKind::Clock,
         EvictionPolicyKind::TwoQ,
         EvictionPolicyKind::Fifo,
@@ -118,7 +112,6 @@ impl fmt::Display for EvictionPolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             EvictionPolicyKind::PseudoLru => "pseudo-lru",
-            EvictionPolicyKind::Lru => "lru",
             EvictionPolicyKind::Clock => "clock",
             EvictionPolicyKind::TwoQ => "2q",
             EvictionPolicyKind::Fifo => "fifo",

@@ -293,8 +293,7 @@ fn every_contender_result_is_pinned() {
                 hotness,
                 ..PolicyConfig::default()
             };
-            // `lru` duplicates `pseudo-lru` decision for decision.
-            if !policy.is_default() && eviction != EvictionPolicyKind::Lru {
+            if !policy.is_default() {
                 runs.push((
                     format!("{eviction}/{hotness}"),
                     contender_run(policy, adaptive),
