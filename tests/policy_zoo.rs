@@ -320,6 +320,20 @@ fn every_contender_result_is_pinned() {
         ));
     }
 
+    // A promotion pool of eight pages fills, so this run demotes: the only
+    // pinned run that exercises `demote_one`.
+    let demoting = {
+        let scale = ExperimentScale::tiny();
+        let mut cfg = scale.apply(SimConfig::default().with_variant(VariantKind::SkyByteFull));
+        cfg.host_dram.promotion_capacity_bytes = 8 * 4096;
+        Simulation::with_config(cfg, WorkloadKind::Tpcc, &scale).run()
+    };
+    assert!(
+        demoting.layers.migration.demotions > 0,
+        "the 8-page pool must demote"
+    );
+    runs.push(("8-page pool".into(), demoting));
+
     let pinned: &[(&str, u64)] = &[
         ("pseudo-lru/decay", 0xb0a8d490a7ab4bdb),
         ("pseudo-lru/topk", 0x8ae7ad5b9c021697),
@@ -338,6 +352,7 @@ fn every_contender_result_is_pinned() {
         ("trigger tpp", 0x5c1f37ee62108400),
         ("trigger astriflash", 0x444c4d94a43b3640),
         ("trigger disabled", 0x8871da4fd9a850b0),
+        ("8-page pool", 0x6a5c8f393d8e8dcd),
     ];
     let got: Vec<(String, u64)> = runs
         .iter()
