@@ -3,7 +3,8 @@
 //! A small set of canonical `.sbt` traces is checked into the repository
 //! under `corpus/`, together with a pinned golden [`SimResult`] (as JSON)
 //! for each trace × design-variant pair. `trace verify-corpus` replays every
-//! pair, diffs the result **leaf by leaf** against its golden, and runs
+//! pair, diffs the result **leaf by leaf** against its golden file's JSON
+//! tree (a key on either side only is a difference too), and runs
 //! the cross-layer conservation audit on it — so an engine change that
 //! shifts any number at all fails CI with the JSON paths (or invariants)
 //! that moved, including changes the shape-asserting unit tests cannot see.
@@ -540,8 +541,13 @@ pub fn verify(corpus: &Path, jobs: usize) -> Result<CorpusReport, String> {
                 continue;
             }
         };
-        let golden: SimResult = match serde_json::from_str(&golden_json) {
-            Ok(g) => g,
+        // The golden must parse as the current schema (a missing field gets
+        // a re-pin hint), and is then compared as its own JSON tree, so a
+        // leaf the schema no longer has is a difference, not ignored.
+        let golden = match serde_json::from_str::<SimResult>(&golden_json)
+            .and_then(|_| serde_json::from_str(&golden_json))
+        {
+            Ok(tree) => tree,
             Err(e) => {
                 failures.push(format!(
                     "{pair}: unparsable golden {} ({e}); run `trace verify-corpus --pin` \

@@ -2,7 +2,6 @@
 
 use skybyte_bench::corpus::{entries, pin, pin_entries, verify, CORPUS_VARIANTS};
 use skybyte_sim::audit::audit_with_telemetry;
-use skybyte_sim::SimResult;
 use skybyte_types::{Nanos, TelemetryConfig};
 use std::path::PathBuf;
 
@@ -53,8 +52,7 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
                 .expect("corpus replay with telemetry");
             let output = output.expect("telemetry was enabled");
             let golden_json = std::fs::read_to_string(entry.golden_path(&corpus, variant)).unwrap();
-            let golden: SimResult = serde_json::from_str(&golden_json).unwrap();
-            let diff = result.diff_fields(&golden);
+            let diff = result.diff_fields(&serde_json::from_str(&golden_json).unwrap());
             assert!(
                 diff.is_empty(),
                 "{} under {variant}: telemetry perturbed the replay:\n{}",
@@ -144,6 +142,42 @@ fn verification_reports_the_divergent_fields() {
     assert!(
         failure.contains(entries()[0].name),
         "diff must name the pair: {failure}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_golden_leaf_the_schema_lacks_fails_its_pair() {
+    // A key with no `SimResult` field behind it must be reported, not
+    // silently skipped by deserialization: copy the checked-in corpus, add
+    // one stale leaf to one golden, and expect exactly that pair to fail.
+    let dir = scratch("stale-leaf");
+    for sub in ["traces", "golden"] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+        for f in std::fs::read_dir(repo_corpus().join(sub)).unwrap() {
+            let path = f.unwrap().path();
+            std::fs::copy(&path, dir.join(sub).join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    let victim = dir.join("golden").join("hot-page--SkyByte-Full.json");
+    let json = std::fs::read_to_string(&victim).unwrap();
+    let stale = json.replacen(
+        "\"migration\": {",
+        "\"migration\": {\n      \"bogus_stale_leaf\": 12345,",
+        1,
+    );
+    assert_ne!(json, stale, "the golden must have a migration map");
+    std::fs::write(&victim, stale).unwrap();
+    let report = verify(&dir, 2).unwrap();
+    assert_eq!(report.failures.len(), 1, "{}", report.render_failures());
+    let failure = &report.failures[0];
+    assert!(
+        failure.starts_with("hot-page under SkyByte-Full:"),
+        "{failure}"
+    );
+    assert!(
+        failure.contains("layers.migration.bogus_stale_leaf: expected 12345, got nothing"),
+        "{failure}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

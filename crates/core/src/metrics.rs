@@ -348,20 +348,21 @@ impl SimResult {
         self.exec_time.as_nanos() as f64 / baseline.exec_time.as_nanos() as f64
     }
 
-    /// Leaf-by-leaf comparison against a golden result, returning one
-    /// `"json.path: expected X, got Y"` line per differing JSON leaf (a
-    /// sequence-length or key-set mismatch is one line as well).
+    /// Leaf-by-leaf comparison against a golden result's JSON tree,
+    /// returning one `"json.path: expected X, got Y"` line per differing
+    /// JSON leaf (a sequence-length mismatch, and a key present on one side
+    /// only, is one line as well).
     ///
     /// This is the diff the golden-corpus verifier prints when a replayed
     /// trace no longer reproduces its pinned result: a plain `PartialEq`
     /// failure says *that* the numbers drifted, the paths say *where*. It
-    /// walks the serialised trees, so every field — present or future — is
-    /// covered without being listed. Equal results return at once.
-    pub fn diff_fields(&self, golden: &SimResult) -> Vec<String> {
+    /// walks this result's serialised tree against `golden` as parsed from
+    /// the golden file, so every field — present or future — is covered
+    /// without being listed, and a golden leaf with no field behind it (a
+    /// key the schema dropped) is reported rather than ignored.
+    pub fn diff_fields(&self, golden: &Value) -> Vec<String> {
         let mut out = Vec::new();
-        if self != golden {
-            diff_values("", &golden.serialize(), &self.serialize(), &mut out);
-        }
+        diff_values("", golden, &self.serialize(), &mut out);
         out
     }
 }
@@ -598,12 +599,12 @@ mod tests {
     fn diff_fields_pinpoints_divergent_fields() {
         let mut golden = dummy(1_000_000);
         golden.layers.write_log = Some(WriteLogStats::default());
-        assert!(golden.diff_fields(&golden).is_empty());
+        assert!(golden.diff_fields(&golden.serialize()).is_empty());
         let mut run = golden.clone();
         run.requests.ssd_write += 1;
         run.exec_time += Nanos::new(5);
         run.layers.flash.pages_read = 77;
-        let diff = run.diff_fields(&golden);
+        let diff = run.diff_fields(&golden.serialize());
         assert_eq!(
             diff,
             [
@@ -617,14 +618,23 @@ mod tests {
         let mut nested = golden.clone();
         nested.layers.write_log.as_mut().unwrap().appends += 1;
         assert_eq!(
-            nested.diff_fields(&golden),
+            nested.diff_fields(&golden.serialize()),
             ["layers.write_log.appends: expected 0, got 1"]
         );
         let mut policy = golden.clone();
         policy.policy.eviction = skybyte_types::EvictionPolicyKind::Clock;
         assert_eq!(
-            policy.diff_fields(&golden),
+            policy.diff_fields(&golden.serialize()),
             [r#"policy.eviction: expected "PseudoLru", got "Clock""#]
+        );
+        // A golden key with no field behind it is a difference too.
+        let mut stale = golden.serialize();
+        if let Value::Map(fields) = &mut stale {
+            fields.push(("dropped".to_string(), Value::UInt(0)));
+        }
+        assert_eq!(
+            golden.diff_fields(&stale),
+            ["dropped: expected 0, got nothing"]
         );
     }
 
@@ -639,7 +649,7 @@ mod tests {
         run.per_tenant[0].ssd_accesses += 1;
         run.per_tenant[0].finish_time += Nanos::new(9);
         run.layers.cxl.requests = 42;
-        let diff = run.diff_fields(&golden);
+        let diff = run.diff_fields(&golden.serialize());
         assert_eq!(
             diff,
             [
@@ -660,14 +670,14 @@ mod tests {
         }
         hist.per_tenant[1].latency_hist = LatencyHistogram::deserialize(&value).unwrap();
         assert_eq!(
-            hist.diff_fields(&golden),
+            hist.diff_fields(&golden.serialize()),
             ["per_tenant[1].latency_hist.max_ns: expected 0, got 7"]
         );
         // A differing tenant count is one line; the shared prefix agrees.
         let mut extra = golden.clone();
         extra.per_tenant.push(extra.per_tenant[1].clone());
         assert_eq!(
-            extra.diff_fields(&golden),
+            extra.diff_fields(&golden.serialize()),
             ["per_tenant: expected 2 element(s), got 3"]
         );
     }
