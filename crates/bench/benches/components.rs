@@ -79,7 +79,6 @@ fn bench_ftl_and_flash(c: &mut Criterion) {
         planes_per_die: 1,
         blocks_per_plane: 64,
         pages_per_block: 64,
-        page_size_bytes: 4096,
     };
     g.bench_function("ftl_writes_with_gc_8k", |b| {
         b.iter(|| {
@@ -162,7 +161,6 @@ fn bench_ssd_controller(c: &mut Criterion) {
         planes_per_die: 1,
         blocks_per_plane: 64,
         pages_per_block: 64,
-        page_size_bytes: 4096,
     };
     cfg.ssd.dram.data_cache_bytes = 2 << 20;
     cfg.ssd.dram.write_log_bytes = 256 << 10;

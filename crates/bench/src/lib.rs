@@ -28,12 +28,6 @@ use skybyte_types::{PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
 use skybyte_workloads::WorkloadKind;
 use std::path::Path;
 
-/// The scale used by the Criterion figure benchmarks: small enough that one
-/// simulation takes well under a second.
-pub fn bench_scale() -> ExperimentScale {
-    ExperimentScale::bench().with_accesses_per_thread(1_500)
-}
-
 /// The scale used by the `figures` binary by default (can be overridden with
 /// `--scale tiny|bench|default`).
 pub fn figures_scale(name: &str) -> Option<ExperimentScale> {
@@ -138,7 +132,6 @@ mod tests {
         assert!(figures_scale("default").is_some());
         assert!(figures_scale("paper").is_some());
         assert!(figures_scale("bogus").is_none());
-        assert!(bench_scale().accesses_per_thread <= 2_000);
     }
 
     #[test]

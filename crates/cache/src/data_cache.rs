@@ -14,7 +14,7 @@ use skybyte_types::policy::{AdmissionPolicyKind, EvictionPolicyKind};
 use skybyte_types::{CachelineIndex, Lpa, CACHELINES_PER_PAGE, PAGE_SIZE};
 
 /// A page evicted from the data cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedPage {
     /// The evicted logical page.
     pub lpa: Lpa,
@@ -27,11 +27,6 @@ impl EvictedPage {
     /// Whether any cacheline of the evicted page was dirty.
     pub fn is_dirty(&self) -> bool {
         self.dirty_bitmap != 0
-    }
-
-    /// Number of dirty cachelines in the evicted page.
-    pub fn dirty_count(&self) -> u32 {
-        self.dirty_bitmap.count_ones()
     }
 }
 
@@ -353,7 +348,7 @@ mod tests {
         c.mark_dirty(Lpa::new(1), 1);
         let e = c.insert(Lpa::new(2)).unwrap();
         assert!(e.is_dirty());
-        assert_eq!(e.dirty_count(), 2);
+        assert_eq!(e.dirty_bitmap, 0b11);
         assert_eq!(c.stats().dirty_evictions, 1);
         assert_eq!(c.stats().dirty_cachelines_evicted, 2);
     }

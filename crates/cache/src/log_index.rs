@@ -25,7 +25,7 @@ const SECOND_LEVEL_SLOT_BYTES: u64 = 4;
 const SECOND_LEVEL_INITIAL_SLOTS: usize = 4;
 
 /// A second-level table: page offset → log offset, with on-demand doubling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SecondLevelTable {
     /// Allocated slot count (power of two, models the hash-table storage).
     allocated_slots: usize,
@@ -66,7 +66,7 @@ pub struct LogIndexStats {
 }
 
 /// The two-level hash index mapping `(LPA, cacheline)` to a log offset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogIndex {
     first_level: HashMap<Lpa, SecondLevelTable>,
     load_factor: f64,

@@ -84,11 +84,6 @@ impl WriteLogPartitions {
     pub fn over_quota(&self, tenant: usize) -> bool {
         self.appends[tenant] > self.quota()
     }
-
-    /// Fraction of the window currently accounted (`0.0..1.0`).
-    pub fn fill_fraction(&self) -> f64 {
-        self.total as f64 / self.window as f64
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,7 @@ mod tests {
         p.note_append(0);
         assert_eq!(p.appends(), &[4, 0]);
         assert_eq!(p.total(), p.appends().iter().sum::<u64>());
-        assert!(p.fill_fraction() < 1.0);
+        assert!(p.total() < p.window());
     }
 
     #[test]

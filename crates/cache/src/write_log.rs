@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use skybyte_types::{CachelineIndex, Lpa, CACHELINE_SIZE};
 
 /// One logged cacheline write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LogEntry {
     lpa: Lpa,
     cl: CachelineIndex,
@@ -25,7 +25,7 @@ struct LogEntry {
 }
 
 /// Result of appending a write to the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// The active log buffer became full with this append; the caller should
     /// start a compaction ([`WriteLog::start_compaction`]).
@@ -43,7 +43,7 @@ pub struct AppendOutcome {
 /// the dirty lines are merged there and the cached page is flushed; otherwise
 /// the page is read from flash into the coalescing buffer, merged, and written
 /// back.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionPlan {
     /// Per-page flush descriptors, sorted by LPA.
     pub pages: Vec<PageFlush>,
@@ -70,7 +70,7 @@ impl CompactionPlan {
 }
 
 /// The latest dirty cachelines of one logical page, to be merged and flushed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageFlush {
     /// The logical page to flush.
     pub lpa: Lpa,
@@ -121,7 +121,7 @@ pub struct WriteLogStats {
 }
 
 /// One log buffer: a bounded append-only array plus its index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LogBuffer {
     entries: Vec<LogEntry>,
     index: LogIndex,
@@ -189,7 +189,7 @@ impl LogBuffer {
 /// The double-buffered, cacheline-granular write log.
 ///
 /// See the crate-level documentation for an example.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WriteLog {
     active: LogBuffer,
     /// The frozen buffer currently being compacted, if any.
@@ -298,11 +298,6 @@ impl WriteLog {
             merged.insert(cl, self.active.entries[off as usize].token);
         }
         merged.into_iter().collect()
-    }
-
-    /// Whether the active buffer is full and a compaction should start.
-    pub fn needs_compaction(&self) -> bool {
-        self.active.is_full() && self.frozen.is_none()
     }
 
     /// Whether a frozen buffer is being compacted.
@@ -474,7 +469,7 @@ mod tests {
             saw_full |= out.log_full;
         }
         assert!(saw_full, "append must signal when the buffer fills");
-        assert!(log.needs_compaction());
+        assert!(!log.compaction_in_progress());
         let plan = log.start_compaction().unwrap();
         assert_eq!(plan.page_count(), cap);
         // While compacting, we can keep appending into the fresh buffer.

@@ -69,11 +69,6 @@ impl ExperimentTable {
             .map(|(_, values)| values[col])
     }
 
-    /// The row labels.
-    pub fn row_labels(&self) -> Vec<&str> {
-        self.rows.iter().map(|(l, _)| l.as_str()).collect()
-    }
-
     /// Renders the table as RFC 4180-style CSV: a `label` header column
     /// followed by one column per series, full float precision (this is the
     /// plotting export of `figures --out`).
@@ -1280,7 +1275,6 @@ mod tests {
         assert_eq!(t.value("row", "b"), Some(2.0));
         assert_eq!(t.value("row", "c"), None);
         assert_eq!(t.value("other", "a"), None);
-        assert_eq!(t.row_labels(), vec!["row"]);
         let json = serde_json::to_string(&t).unwrap();
         let back: ExperimentTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);

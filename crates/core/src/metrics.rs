@@ -307,14 +307,6 @@ impl SimResult {
         self.total_accesses() as f64 * 1e9 / self.exec_time.as_nanos() as f64
     }
 
-    /// Instructions per second.
-    pub fn throughput_instructions_per_sec(&self) -> f64 {
-        if self.exec_time == Nanos::ZERO {
-            return 0.0;
-        }
-        self.instructions as f64 * 1e9 / self.exec_time.as_nanos() as f64
-    }
-
     /// Average flash-channel utilisation over the run (the Figure 15 line
     /// metric, "SSD bandwidth utilisation").
     ///
@@ -560,7 +552,6 @@ mod tests {
         assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-9);
         assert!((slow.normalized_exec_time(&fast) - 4.0).abs() < 1e-9);
         assert!(fast.throughput_accesses_per_sec() > slow.throughput_accesses_per_sec());
-        assert!(fast.throughput_instructions_per_sec() > 0.0);
         let util = fast.ssd_bandwidth_utilisation();
         assert!(util > 0.1 && util <= 0.2, "util {util}");
         assert_eq!(fast.total_accesses(), 100);

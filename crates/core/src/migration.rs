@@ -1,15 +1,13 @@
 //! Page migration between the CXL-SSD and host DRAM (§III-C and §VI-H).
 //!
-//! [`MigrationEngine`] owns the mechanism (PLB tracking, CXL page copies,
-//! PTE/TLB updates, budget-driven demotion). The *when and what to promote*
+//! [`MigrationEngine`] owns the mechanism (CXL page copies, PTE/TLB
+//! updates, budget-driven demotion). The *when and what to promote*
 //! decision is a `match` on the configured [`MigrationPolicyKind`], one arm
 //! per promotion policy of the paper:
 //!
 //! * `adaptive` (SkyByte): the SSD controller tracks per-page access counts
 //!   and nominates hot, cache-resident pages; the OS copies them into its
-//!   promotion pool, updates the PTE and shoots down the TLB entry. The
-//!   Promotion Look-aside Buffer keeps concurrent accesses consistent while
-//!   the copy is in flight.
+//!   promotion pool, updates the PTE and shoots down the TLB entry.
 //! * `tpp` (SkyByte-CT / -WCT): the OS samples accesses periodically and
 //!   promotes pages touched at least twice in a window — less accurate than
 //!   the controller's exact counters. The per-period promotion budget is a
@@ -21,10 +19,17 @@
 //!
 //! When the promotion budget is exhausted, a cold page (Linux-style
 //! active/inactive reclamation) is evicted back to the SSD first.
+//!
+//! A promotion's 4 KiB copy occupies CXL link and host DRAM bandwidth, so it
+//! delays the traffic behind it, but the page is host-readable as soon as
+//! [`MigrationEngine::run`] (or [`MigrationEngine::on_demand_fill`]) returns:
+//! no copy latency is charged, so no access ever sees a copy in flight and
+//! the paper's Promotion Look-aside Buffer, which covers that window, is not
+//! modelled.
 
 use serde::{Deserialize, Serialize};
 use skybyte_cpu::HostDram;
-use skybyte_cxl::{CxlPort, PromotionLookasideBuffer};
+use skybyte_cxl::CxlPort;
 use skybyte_os::{HostMemoryPool, PageTable, PoolDecision, Tlb, TppSampler};
 use skybyte_ssd::SsdController;
 use skybyte_types::{Lpa, MigrationPolicyKind, Nanos, PageNumber, SimConfig, PAGE_SIZE};
@@ -38,8 +43,6 @@ pub struct MigrationStats {
     pub promotions: u64,
     /// Pages evicted from host DRAM back to the SSD.
     pub demotions: u64,
-    /// Promotions skipped because the PLB was full.
-    pub plb_stalls: u64,
     /// TLB shootdowns issued for PTE updates.
     pub tlb_shootdowns: u64,
 }
@@ -81,8 +84,6 @@ enum Trigger {
 pub struct MigrationEngine {
     trigger: Trigger,
     pool: HostMemoryPool,
-    plb: PromotionLookasideBuffer,
-    page_copy_overhead: Nanos,
     stats: MigrationStats,
 }
 
@@ -106,8 +107,6 @@ impl MigrationEngine {
         MigrationEngine {
             trigger,
             pool: HostMemoryPool::new(cfg.host_dram.promotion_capacity_bytes),
-            plb: PromotionLookasideBuffer::new(cfg.migration.plb_entries.max(1)),
-            page_copy_overhead: cfg.migration.page_copy_latency,
             stats: MigrationStats::default(),
         }
     }
@@ -180,10 +179,6 @@ impl MigrationEngine {
         if self.pool.contains(lpa) {
             return None;
         }
-        if self.plb.is_full() {
-            self.stats.plb_stalls += 1;
-            return None;
-        }
         // Make room, evicting cold pages back to the SSD as needed.
         let frame = loop {
             match self.pool.promote(lpa) {
@@ -198,23 +193,17 @@ impl MigrationEngine {
             }
         };
 
-        // Track the in-flight copy in the PLB, copy the page over the CXL
-        // link into host DRAM, then finalise PTE/TLB state.
+        // Copy the page over the CXL link into host DRAM: the copy occupies
+        // both, but its completion time is not charged to anyone.
         let source = PageNumber(lpa.index());
-        let _ = self.plb.begin(source, frame);
         let copy_arrival = ctx.port.deliver_payload(now, PAGE_SIZE as u64);
-        let copy_done = ctx.host_dram.transfer(copy_arrival, PAGE_SIZE as u64);
-        for cl in 0..64u8 {
-            self.plb.mark_migrated(source, cl);
-        }
-        self.plb.complete(source);
+        ctx.host_dram.transfer(copy_arrival, PAGE_SIZE as u64);
 
         ctx.ssd.promote_page(lpa);
         ctx.page_table.promote(source, frame);
         ctx.tlb.shootdown(source);
         self.stats.tlb_shootdowns += 1;
         self.stats.promotions += 1;
-        let _ = copy_done + self.page_copy_overhead;
         Some(lpa)
     }
 
@@ -245,7 +234,6 @@ mod tests {
             planes_per_die: 1,
             blocks_per_plane: 32,
             pages_per_block: 32,
-            page_size_bytes: 4096,
         };
         cfg.ssd.dram.data_cache_bytes = MIB;
         cfg.ssd.dram.write_log_bytes = 64 * KIB;

@@ -258,11 +258,6 @@ impl Runner {
         self
     }
 
-    /// The policy overrides applied to this runner's requests.
-    pub fn policy_overrides(&self) -> &[PolicyOverride] {
-        &self.policies
-    }
-
     /// Returns this runner with the conservation audit enabled (or not):
     /// every *executed* simulation (memo hits are already-audited results)
     /// is checked against [`crate::audit`], and any violation is recorded
@@ -740,7 +735,6 @@ mod tests {
         let plain = Runner::new(1);
         let clocked = Runner::new(1)
             .with_policy_overrides(vec![PolicyOverride::Eviction(EvictionPolicyKind::Clock)]);
-        assert_eq!(clocked.policy_overrides().len(), 1);
         let a = plain.run(&req);
         let b = clocked.run(&req);
         // The override lands in the executed configuration and the result.

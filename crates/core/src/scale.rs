@@ -61,7 +61,6 @@ impl ExperimentScale {
                 planes_per_die: 1,
                 blocks_per_plane: 128,
                 pages_per_block: 64,
-                page_size_bytes: 4096,
             },
             precondition_fraction: 0.9,
             seed: 0x5B5B_2025,
@@ -83,7 +82,6 @@ impl ExperimentScale {
                 planes_per_die: 1,
                 blocks_per_plane: 64,
                 pages_per_block: 64,
-                page_size_bytes: 4096,
             },
             precondition_fraction: 0.9,
             seed: 0x5B5B_2025,
@@ -105,7 +103,6 @@ impl ExperimentScale {
                 planes_per_die: 1,
                 blocks_per_plane: 32,
                 pages_per_block: 32,
-                page_size_bytes: 4096,
             },
             precondition_fraction: 0.8,
             seed: 7,
@@ -115,12 +112,6 @@ impl ExperimentScale {
     /// Total bytes of the scaled flash device.
     pub fn flash_bytes(&self) -> u64 {
         self.geometry.total_bytes()
-    }
-
-    /// The footprint : SSD-DRAM ratio of this scale (the paper's workloads
-    /// sit between 16:1 and 32:1 against the 512 MiB cache).
-    pub fn footprint_to_dram_ratio(&self) -> f64 {
-        self.footprint_bytes as f64 / (self.ssd_data_cache_bytes + self.write_log_bytes) as f64
     }
 
     /// Applies the scaled sizes to a simulator configuration.
@@ -178,7 +169,10 @@ mod tests {
     fn default_scale_preserves_paper_ratios() {
         let s = ExperimentScale::default_scale();
         // footprint : SSD DRAM = 16 : 1 — inside the paper's 1:16–1:32 band.
-        assert!((s.footprint_to_dram_ratio() - 16.0).abs() < 0.5);
+        assert_eq!(
+            s.footprint_bytes,
+            16 * (s.ssd_data_cache_bytes + s.write_log_bytes)
+        );
         // Write log is 1/8 of the SSD DRAM, as in Table II (64 MB of 512 MB).
         assert!((s.ssd_data_cache_bytes / s.write_log_bytes) == 7);
         // Host promotion budget is 4x the SSD DRAM, as in §VI-A.

@@ -126,11 +126,6 @@ impl MetricsLog {
     pub fn final_sample(&self) -> Option<&MetricsSample> {
         self.samples.last()
     }
-
-    /// Serialises the whole log as JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics log serialises")
-    }
 }
 
 /// Writes the header row of the metrics CSV for the given column dimensions.
@@ -449,11 +444,6 @@ impl Telemetry {
     /// The capture configuration this recorder was armed with.
     pub fn config(&self) -> &TelemetryConfig {
         &self.cfg
-    }
-
-    /// Whether span/instant capture is on (the sampler is always on).
-    pub fn timeline_on(&self) -> bool {
-        self.cfg.timeline
     }
 
     /// Records one metrics sample, deriving its windowed hit rate from the

@@ -8,16 +8,15 @@
 //! memory access the out-of-order window cannot hide is memory-bounded.
 
 use serde::{Deserialize, Serialize};
-use skybyte_types::{CpuConfig, Freq, Nanos, RatioBreakdown};
+use skybyte_types::{CpuConfig, Freq, Nanos};
 
 /// Converts instruction counts to time and bounds how much off-chip latency
 /// the out-of-order engine can overlap with useful work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreTimingModel {
     freq: Freq,
     base_ipc: f64,
     rob_entries: u32,
-    mem_op_fraction: f64,
 }
 
 impl CoreTimingModel {
@@ -32,7 +31,6 @@ impl CoreTimingModel {
             freq: cfg.freq,
             base_ipc: cfg.base_ipc,
             rob_entries: cfg.rob_entries,
-            mem_op_fraction: cfg.mem_op_fraction,
         }
     }
 
@@ -58,26 +56,6 @@ impl CoreTimingModel {
     /// of the given latency.
     pub fn effective_stall(&self, latency: Nanos) -> Nanos {
         latency.saturating_sub(self.overlap_window())
-    }
-
-    /// Maximum number of independent off-chip misses the core can keep in
-    /// flight, limited by the ROB size and the fraction of instructions that
-    /// are memory operations. This bounds how well a single thread can
-    /// saturate the CXL link (the "35 vs 750 outstanding requests" argument
-    /// of §II-C).
-    pub fn mlp_limit(&self, llc_mpki: f64) -> u32 {
-        if llc_mpki <= 0.0 {
-            return 1;
-        }
-        // Instructions between consecutive LLC misses.
-        let inst_per_miss = 1000.0 / llc_mpki;
-        let window_misses = (self.rob_entries as f64 / inst_per_miss).floor() as u32;
-        window_misses.clamp(1, (self.rob_entries as f64 * self.mem_op_fraction) as u32)
-    }
-
-    /// The clock frequency.
-    pub fn freq(&self) -> Freq {
-        self.freq
     }
 }
 
@@ -135,15 +113,6 @@ impl Boundedness {
         self.context_switch += other.context_switch;
         self.idle += other.idle;
     }
-
-    /// Converts to the named breakdown used by the figure printers.
-    pub fn to_breakdown(&self) -> RatioBreakdown {
-        let mut b = RatioBreakdown::new();
-        b.add("compute", self.compute.as_nanos() as f64);
-        b.add("memory", self.memory.as_nanos() as f64);
-        b.add("context_switch", self.context_switch.as_nanos() as f64);
-        b
-    }
 }
 
 #[cfg(test)]
@@ -178,19 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_limit_bounds() {
-        let m = model();
-        // Dense-miss workload (bfs-dense: 122.9 MPKI): many misses in window.
-        let dense = m.mlp_limit(122.9);
-        // Sparse-miss workload (tpcc: 1.0 MPKI): one miss per window.
-        let sparse = m.mlp_limit(1.0);
-        assert!(dense > sparse);
-        assert_eq!(sparse, 1);
-        assert!(dense <= (256.0 * 0.3) as u32);
-        assert_eq!(m.mlp_limit(0.0), 1);
-    }
-
-    #[test]
     fn boundedness_fractions_sum_to_one() {
         let b = Boundedness {
             compute: Nanos::new(250),
@@ -201,8 +157,7 @@ mod tests {
         let total = b.memory_fraction() + b.compute_fraction() + b.context_switch_fraction();
         assert!((total - 1.0).abs() < 1e-9);
         assert_eq!(b.total(), Nanos::new(1123));
-        let breakdown = b.to_breakdown();
-        assert!((breakdown.fraction("memory") - 0.7).abs() < 1e-9);
+        assert!((b.memory_fraction() - 0.7).abs() < 1e-9);
     }
 
     #[test]

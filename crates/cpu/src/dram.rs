@@ -18,7 +18,7 @@ pub struct HostDramStats {
 /// capped by the aggregate channel bandwidth, modelled with a single
 /// busy-until horizon (requests arriving faster than the channels can drain
 /// queue up).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostDram {
     access_latency: Nanos,
     bandwidth_bps: u64,

@@ -8,21 +8,20 @@
 //! this opcode, and the host turns it into a *Long Delay Exception* that lets
 //! the OS context-switch the blocked thread (Figure 7).
 //!
-//! This crate provides:
+//! This crate provides [`port`], the link/protocol timing model (40 ns
+//! protocol latency, PCIe 5.0 ×4 bandwidth). The simulator carries the
+//! `SkyByte-Delay` completion as a `delay_hint` flag on the SSD access
+//! outcome rather than as an encoded NDR message.
 //!
-//! * [`port`] — the link/protocol timing model (40 ns protocol latency,
-//!   PCIe 5.0 ×4 bandwidth); the simulator carries the `SkyByte-Delay`
-//!   completion as a `delay_hint` flag on the SSD access outcome rather than
-//!   as an encoded NDR message,
-//! * [`plb`] — the Promotion Look-aside Buffer in the host bridge that keeps
-//!   reads/writes consistent while a page migrates between the SSD and host
-//!   DRAM (§III-C).
+//! Page promotions (§III-C) use the same port: a promoted page's 4 KiB copy
+//! occupies link bandwidth like any other payload, and the page is
+//! host-readable as soon as the promotion returns. No copy latency is
+//! charged, so there is no in-flight window for a Promotion Look-aside
+//! Buffer to cover, and none is modelled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod plb;
 pub mod port;
 
-pub use plb::{PlbEntry, PromotionLookasideBuffer, WriteRoute};
 pub use port::{CxlPort, CxlPortStats};

@@ -33,7 +33,7 @@ pub struct CxlPortStats {
 /// let arrival = port.deliver_cacheline(Nanos::ZERO);
 /// assert!(arrival >= Nanos::new(40));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CxlPort {
     protocol_latency: Nanos,
     bandwidth_bps: u64,
@@ -114,14 +114,6 @@ impl CxlPort {
         (self.busy_time.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
     }
 
-    /// Bytes per second actually moved over `[0, now]`.
-    pub fn achieved_bandwidth_bps(&self, now: Nanos) -> f64 {
-        if now == Nanos::ZERO {
-            return 0.0;
-        }
-        self.stats.payload_bytes as f64 * 1e9 / now.as_nanos() as f64
-    }
-
     /// Traffic statistics.
     pub fn stats(&self) -> &CxlPortStats {
         &self.stats
@@ -174,7 +166,6 @@ mod tests {
         let b = port.deliver_payload(Nanos::ZERO, 4096);
         assert!(b > a, "second transfer must wait for the first");
         assert!(port.utilisation(b) > 0.5);
-        assert!(port.achieved_bandwidth_bps(b) > 0.0);
     }
 
     #[test]
@@ -182,7 +173,6 @@ mod tests {
         let port = CxlPort::new(Nanos::new(40), 16 << 30);
         assert_eq!(port.transfer_time(0), Nanos::ZERO);
         assert_eq!(port.utilisation(Nanos::ZERO), 0.0);
-        assert_eq!(port.achieved_bandwidth_bps(Nanos::ZERO), 0.0);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::channel::{ChannelQueue, QueueCounters};
 use crate::command::{FlashCommand, FlashCommandKind};
 use crate::stats::FlashStats;
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FlashTimingConfig, Nanos, Ppa, SsdGeometry};
 
 /// A timing model of the whole NAND flash array.
@@ -12,7 +11,7 @@ use skybyte_types::{FlashTimingConfig, Nanos, Ppa, SsdGeometry};
 /// the same channel are serialised; different channels proceed in parallel,
 /// which is how SkyByte's log compaction exploits channel parallelism when
 /// flushing coalesced pages (§III-B).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlashArray {
     geometry: SsdGeometry,
     timing: FlashTimingConfig,
@@ -122,17 +121,6 @@ impl FlashArray {
             .estimate_read_latency(&self.timing)
     }
 
-    /// The channel with the shortest backlog at time `now`; used by log
-    /// compaction to spread page flushes across channels.
-    pub fn least_busy_channel(&self) -> u16 {
-        self.channels
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| q.busy_until())
-            .map(|(i, _)| i as u16)
-            .expect("at least one channel")
-    }
-
     /// Aggregate busy time across all channels (for bandwidth utilisation).
     pub fn total_busy_time(&self) -> Nanos {
         self.channels.iter().map(|c| c.busy_time()).sum()
@@ -147,14 +135,6 @@ impl FlashArray {
             .iter()
             .map(|c| c.busy_time_within(horizon))
             .sum()
-    }
-
-    /// Time at which every channel is idle.
-    pub fn all_idle_at(&self) -> Nanos {
-        self.channels
-            .iter()
-            .map(|c| c.busy_until())
-            .fold(Nanos::ZERO, Nanos::max)
     }
 
     /// Whether every channel queue is empty.
@@ -193,7 +173,6 @@ mod tests {
             planes_per_die: 1,
             blocks_per_plane: 8,
             pages_per_block: 16,
-            page_size_bytes: 4096,
         };
         FlashArray::new(geometry, FlashTimingConfig::for_kind(NandKind::Ull))
     }
@@ -306,23 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn least_busy_channel_prefers_idle() {
-        let mut arr = small_array();
-        arr.submit(
-            FlashCommandKind::Erase,
-            Ppa::new(0, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        arr.submit(
-            FlashCommandKind::Program,
-            Ppa::new(1, 0, 0, 0, 0, 0),
-            Nanos::ZERO,
-        );
-        let ch = arr.least_busy_channel();
-        assert!(ch == 2 || ch == 3, "expected an idle channel, got {ch}");
-    }
-
-    #[test]
     fn idle_tracking() {
         let mut arr = small_array();
         assert!(arr.is_idle());
@@ -332,7 +294,6 @@ mod tests {
             Nanos::ZERO,
         );
         assert!(!arr.is_idle());
-        assert_eq!(arr.all_idle_at(), Nanos::from_micros(3));
         assert_eq!(arr.retire_completed(Nanos::from_micros(3)), 1);
         assert!(arr.is_idle());
         assert_eq!(arr.total_busy_time(), Nanos::from_micros(3));

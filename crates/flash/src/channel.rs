@@ -18,12 +18,11 @@
 //! exactly the role it plays as the context-switch trigger heuristic.
 
 use crate::command::{FlashCommand, FlashCommandKind};
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FlashTimingConfig, Nanos, Ppa};
 use std::collections::VecDeque;
 
 /// Counts of commands currently queued or in service on one channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueCounters {
     /// Queued/in-service page reads.
     pub reads: u32,
@@ -55,7 +54,7 @@ impl QueueCounters {
 /// Reads serialise behind previously accepted reads only (suspending any
 /// program/erase in service); programs and erases serialise behind all
 /// previously accepted work.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChannelQueue {
     /// Completion times of in-flight reads, in submission order. Each read
     /// waits for every earlier read (`read_busy_until` only grows), so the

@@ -1,11 +1,10 @@
 //! Flash command descriptors.
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FlashTimingConfig, Nanos, Ppa};
 use std::fmt;
 
 /// The three NAND operations and their Table IV timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlashCommandKind {
     /// Page read (tR).
     Read,
@@ -38,7 +37,7 @@ impl fmt::Display for FlashCommandKind {
 }
 
 /// A flash command in flight: what, where, and when it will finish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashCommand {
     /// Operation type.
     pub kind: FlashCommandKind,

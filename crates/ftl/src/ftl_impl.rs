@@ -3,7 +3,6 @@
 
 use crate::blocks::{BlockId, BlockManager};
 use crate::stats::FtlStats;
-use serde::{Deserialize, Serialize};
 use skybyte_flash::{FlashArray, FlashCommandKind};
 use skybyte_types::{FastHashMap, Lpa, Nanos, Ppa, SsdConfig};
 
@@ -32,7 +31,7 @@ pub struct GcReport {
 /// A page-level flash translation layer with greedy garbage collection.
 ///
 /// See the crate-level documentation for an end-to-end example.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ftl {
     mapping: FastHashMap<Lpa, Ppa>,
     blocks: BlockManager,
@@ -167,11 +166,6 @@ impl Ftl {
         self.blocks.free_fraction()
     }
 
-    /// Access to block-level state (for tests and detailed reporting).
-    pub fn block_manager(&self) -> &BlockManager {
-        &self.blocks
-    }
-
     fn maybe_gc(&mut self, now: Nanos, flash: &mut FlashArray) -> Option<GcReport> {
         // GC starts when the device utilisation exceeds the threshold
         // (80 % in Table II) or the free-block reserve (one block per channel,
@@ -280,7 +274,6 @@ mod tests {
                 planes_per_die: 1,
                 blocks_per_plane: 8,
                 pages_per_block: 8,
-                page_size_bytes: 4096,
             },
             gc_blocks_per_campaign: 19660,
             ..SsdConfig::default()

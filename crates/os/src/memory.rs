@@ -6,12 +6,11 @@
 //! tracked with active/inactive lists — evict it back to the SSD, and reuse
 //! its host frame (§III-C).
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FastHashMap, Lpa, PageNumber, PAGE_SIZE};
 use std::collections::VecDeque;
 
 /// Result of asking the pool to make room for a new promotion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolDecision {
     /// A free host frame was available.
     Allocated(PageNumber),
@@ -22,7 +21,7 @@ pub enum PoolDecision {
 
 /// The bounded pool of host-DRAM frames holding promoted SSD pages, with
 /// active/inactive LRU lists for reclamation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostMemoryPool {
     capacity_pages: u64,
     next_frame: u64,
@@ -65,11 +64,6 @@ impl HostMemoryPool {
     /// Whether `lpa` is currently promoted.
     pub fn contains(&self, lpa: Lpa) -> bool {
         self.resident.contains_key(&lpa)
-    }
-
-    /// The host frame holding `lpa`, if promoted.
-    pub fn host_page_of(&self, lpa: Lpa) -> Option<PageNumber> {
-        self.resident.get(&lpa).copied()
     }
 
     /// Tries to allocate a host frame for promoting `lpa`.
@@ -224,7 +218,6 @@ mod tests {
             _ => panic!("resident page should stay allocated"),
         }
         assert_eq!(p.resident_pages(), 1);
-        assert_eq!(p.host_page_of(Lpa::new(5)), Some(first));
         assert!(p.contains(Lpa::new(5)));
     }
 

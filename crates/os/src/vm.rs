@@ -7,12 +7,11 @@
 //! invalidates the TLB entry, triggering a TLB shootdown on every core
 //! (modelled as a fixed cost counted by the simulator).
 
-use serde::{Deserialize, Serialize};
 use skybyte_types::{FastHashMap, Lpa, Nanos, PageNumber};
 use std::collections::VecDeque;
 
 /// Where a virtual page currently resides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePlacement {
     /// The page has been promoted to host DRAM at the given host page.
     HostDram(PageNumber),
@@ -33,11 +32,10 @@ impl PagePlacement {
 /// (virtual page *n* → LPA *n*), which models the paper's setup where "all
 /// data are initially stored in CXL-SSD". Promotions and demotions update
 /// individual entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTable {
     overrides: FastHashMap<PageNumber, PagePlacement>,
     promoted_pages: u64,
-    updates: u64,
 }
 
 impl PageTable {
@@ -68,7 +66,6 @@ impl PageTable {
         if !old.is_host() {
             self.promoted_pages += 1;
         }
-        self.updates += 1;
         old
     }
 
@@ -80,18 +77,12 @@ impl PageTable {
         if old.is_host() {
             self.promoted_pages = self.promoted_pages.saturating_sub(1);
         }
-        self.updates += 1;
         old
     }
 
     /// Number of virtual pages currently placed in host DRAM.
     pub fn promoted_pages(&self) -> u64 {
         self.promoted_pages
-    }
-
-    /// Number of PTE updates performed (promotions + demotions).
-    pub fn pte_updates(&self) -> u64 {
-        self.updates
     }
 }
 
@@ -107,14 +98,12 @@ impl PageTable {
 /// eviction are amortised O(1) — where the previous flat `Vec` paid an O(n)
 /// scan on every access. The observable hit/miss/eviction behaviour is
 /// identical.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     capacity: usize,
     entries: FastHashMap<PageNumber, u64>,
     access_log: VecDeque<(u64, PageNumber)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
     shootdowns: u64,
     miss_penalty: Nanos,
 }
@@ -133,8 +122,6 @@ impl Tlb {
             entries: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
             access_log: VecDeque::with_capacity(capacity),
             tick: 0,
-            hits: 0,
-            misses: 0,
             shootdowns: 0,
             miss_penalty,
         }
@@ -150,10 +137,8 @@ impl Tlb {
         if let Some(t) = self.entries.get_mut(&vpage) {
             *t = tick;
             self.access_log.push_back((tick, vpage));
-            self.hits += 1;
             return Nanos::ZERO;
         }
-        self.misses += 1;
         if self.entries.len() >= self.capacity {
             // Pop log records until one still names a page's most recent
             // access; that page is the true LRU victim.
@@ -187,11 +172,6 @@ impl Tlb {
         // The page's log records become stale and are skipped (or compacted)
         // lazily.
         self.entries.remove(&vpage).is_some()
-    }
-
-    /// (hits, misses) counters.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Number of shootdowns received.
@@ -231,7 +211,6 @@ mod tests {
         let old = pt.demote(PageNumber(1), Lpa::new(1));
         assert!(old.is_host());
         assert_eq!(pt.promoted_pages(), 0);
-        assert_eq!(pt.pte_updates(), 3);
     }
 
     #[test]
@@ -244,8 +223,6 @@ mod tests {
         tlb.access(PageNumber(1));
         tlb.access(PageNumber(3));
         assert_eq!(tlb.access(PageNumber(2)), Nanos::new(100));
-        let (hits, misses) = tlb.hit_miss();
-        assert!(hits >= 2 && misses >= 3);
     }
 
     #[test]

@@ -106,15 +106,6 @@ impl SsdStats {
         self.reads + self.writes
     }
 
-    /// Fraction of reads that hit in SSD DRAM (log or cache).
-    pub fn read_hit_rate(&self) -> f64 {
-        if self.reads == 0 {
-            return 0.0;
-        }
-        (self.read_log_hits + self.read_cache_hits + self.read_zero_fills) as f64
-            / self.reads as f64
-    }
-
     /// Average compaction busy time per campaign. Because
     /// [`compaction_time`](Self::compaction_time) is a union measure, this
     /// under-reports the true per-campaign duration when campaigns overlap —
@@ -146,14 +137,8 @@ mod tests {
     #[test]
     fn hit_rate_and_averages() {
         let mut s = SsdStats::default();
-        assert_eq!(s.read_hit_rate(), 0.0);
         assert_eq!(s.avg_compaction_time(), Nanos::ZERO);
         s.reads = 10;
-        s.read_log_hits = 3;
-        s.read_cache_hits = 4;
-        s.read_zero_fills = 1;
-        s.read_flash_misses = 2;
-        assert!((s.read_hit_rate() - 0.8).abs() < 1e-12);
         s.compactions = 2;
         s.compaction_time = Nanos::from_micros(300);
         assert_eq!(s.avg_compaction_time(), Nanos::from_micros(150));

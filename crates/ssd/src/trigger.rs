@@ -8,13 +8,12 @@
 //! answers the host with the `SkyByte-Delay` opcode so the OS can context
 //! switch the blocked thread.
 
-use serde::{Deserialize, Serialize};
 use skybyte_flash::FlashArray;
 use skybyte_ftl::Ftl;
 use skybyte_types::{Lpa, Nanos};
 
 /// The outcome of evaluating the trigger policy for one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriggerDecision {
     /// Whether a `SkyByte-Delay` hint should be sent.
     pub trigger: bool,
@@ -25,7 +24,7 @@ pub struct TriggerDecision {
 }
 
 /// Algorithm 1: `shd_ctx_swtc(req, threshold, read_lat, write_lat, erase_lat)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThresholdPolicy {
     /// Latency threshold above which a context switch is requested
     /// (2 µs in Table II, tunable per Figure 9).
@@ -82,7 +81,6 @@ mod tests {
                 planes_per_die: 1,
                 blocks_per_plane: 8,
                 pages_per_block: 8,
-                page_size_bytes: 4096,
             },
             ..SsdConfig::default()
         };

@@ -15,6 +15,7 @@
 //! | `host_dram_size_byte` | [`HostDramConfig::promotion_capacity_bytes`] |
 //! | `t_policy` | [`SimConfig::sched_policy`] |
 
+use crate::addr::PAGE_SIZE;
 use crate::error::ConfigError;
 use crate::policy::PolicyConfig;
 use crate::time::{Freq, Nanos};
@@ -69,10 +70,6 @@ pub struct CpuConfig {
     pub rob_entries: u32,
     /// Data TLB backing the page-table walks of off-chip accesses.
     pub tlb: TlbConfig,
-    /// Fraction of a thread's issued instructions that are memory operations
-    /// reaching the L1 (used to convert between instruction counts and
-    /// memory-access counts when deriving MLP from the ROB size).
-    pub mem_op_fraction: f64,
     /// Nominal instructions per cycle for the non-memory portion of the
     /// workload.
     pub base_ipc: f64,
@@ -85,7 +82,6 @@ impl Default for CpuConfig {
             freq: Freq::from_ghz(4.0),
             rob_entries: 256,
             tlb: TlbConfig::default(),
-            mem_op_fraction: 0.3,
             base_ipc: 2.0,
         }
     }
@@ -223,6 +219,7 @@ impl Default for FlashTimingConfig {
 }
 
 /// Physical organisation of the flash array (Table II, "Organization").
+/// Every flash page is [`PAGE_SIZE`] (4 KiB) bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SsdGeometry {
     /// Number of flash channels.
@@ -237,8 +234,6 @@ pub struct SsdGeometry {
     pub blocks_per_plane: u32,
     /// Pages per block.
     pub pages_per_block: u32,
-    /// Page size in bytes.
-    pub page_size_bytes: u32,
 }
 
 impl SsdGeometry {
@@ -263,7 +258,7 @@ impl SsdGeometry {
 
     /// Total raw capacity in bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.total_pages() * self.page_size_bytes as u64
+        self.total_pages() * PAGE_SIZE as u64
     }
 }
 
@@ -278,7 +273,6 @@ impl Default for SsdGeometry {
             planes_per_die: 1,
             blocks_per_plane: 128,
             pages_per_block: 256,
-            page_size_bytes: 4096,
         }
     }
 }
@@ -450,12 +444,6 @@ pub struct MigrationConfig {
     /// Access count above which a page becomes a promotion candidate
     /// (adaptive policy).
     pub hotness_threshold: u32,
-    /// Number of entries in the Promotion Look-aside Buffer in the host
-    /// bridge (64 in the paper).
-    pub plb_entries: u32,
-    /// Cost of copying one 4 KiB page between SSD DRAM and host DRAM over the
-    /// CXL link, including interrupt and PTE/TLB update overheads.
-    pub page_copy_latency: Nanos,
     /// Sampling period of the TPP-style policy.
     pub tpp_sample_period: Nanos,
     /// Number of promotions allowed per sampling period for the TPP policy.
@@ -467,8 +455,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             policy: MigrationPolicyKind::Adaptive,
             hotness_threshold: 32,
-            plb_entries: 64,
-            page_copy_latency: Nanos::from_micros(2),
             tpp_sample_period: Nanos::from_millis(1),
             tpp_promotions_per_period: 64,
         }
@@ -766,25 +752,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the SSD DRAM data-cache size (artifact knob `ssd_cache_size_byte`).
-    pub fn with_ssd_cache_size(mut self, bytes: u64) -> Self {
-        self.ssd.dram.data_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the write-log size.
-    pub fn with_write_log_size(mut self, bytes: u64) -> Self {
-        self.ssd.dram.write_log_bytes = bytes;
-        self
-    }
-
-    /// Sets the host DRAM promotion budget (artifact knob
-    /// `host_dram_size_byte`).
-    pub fn with_host_dram_size(mut self, bytes: u64) -> Self {
-        self.host_dram.promotion_capacity_bytes = bytes;
-        self
-    }
-
     /// Sets the NAND flash family (Table IV) and its timing.
     pub fn with_nand(mut self, kind: NandKind) -> Self {
         self.ssd = self.ssd.with_nand(kind);
@@ -819,8 +786,8 @@ impl SimConfig {
     /// Returns a [`ConfigError`] describing the first violated invariant:
     /// zero cores/threads, more than [`MAX_THREADS`] threads, an empty TLB
     /// or data cache, a write log that does not hold at least one page worth
-    /// of cachelines, GC thresholds outside `(0, 1]`, zero-latency flash, or
-    /// a migrating variant without a PLB entry.
+    /// of cachelines, a write-log index load factor or GC threshold outside
+    /// `(0, 1]`, or zero-latency flash.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cpu.cores == 0 {
             return Err(ConfigError::new("cpu.cores must be at least 1"));
@@ -836,25 +803,25 @@ impl SimConfig {
         if self.cpu.base_ipc <= 0.0 {
             return Err(ConfigError::new("cpu.base_ipc must be positive"));
         }
-        if !(0.0..=1.0).contains(&self.cpu.mem_op_fraction) {
-            return Err(ConfigError::new("cpu.mem_op_fraction must be in [0, 1]"));
-        }
         if self.cpu.tlb.entries == 0 {
             return Err(ConfigError::new("cpu.tlb.entries must be at least 1"));
         }
         if self.ssd.geometry.total_pages() == 0 {
             return Err(ConfigError::new("ssd geometry has zero pages"));
         }
-        if self.ssd.geometry.page_size_bytes as usize != crate::addr::PAGE_SIZE {
-            return Err(ConfigError::new("only 4 KiB flash pages are supported"));
-        }
-        if self.ssd.dram.write_log_bytes < crate::addr::PAGE_SIZE as u64 {
+        if self.ssd.dram.write_log_bytes < PAGE_SIZE as u64 {
             return Err(ConfigError::new(
                 "write log must hold at least one page worth of cachelines",
             ));
         }
-        if self.ssd.dram.data_cache_bytes < crate::addr::PAGE_SIZE as u64 {
+        if self.ssd.dram.data_cache_bytes < PAGE_SIZE as u64 {
             return Err(ConfigError::new("data cache must hold at least one page"));
+        }
+        let load_factor = self.ssd.dram.index_resize_load_factor;
+        if !(0.0 < load_factor && load_factor <= 1.0) {
+            return Err(ConfigError::new(
+                "ssd.dram.index_resize_load_factor must be in (0, 1]",
+            ));
         }
         if !(0.0 < self.ssd.gc_threshold && self.ssd.gc_threshold <= 1.0) {
             return Err(ConfigError::new("gc_threshold must be in (0, 1]"));
@@ -866,13 +833,6 @@ impl SimConfig {
             || self.ssd.flash.program_latency == Nanos::ZERO
         {
             return Err(ConfigError::new("flash latencies must be nonzero"));
-        }
-        if self.migration.plb_entries == 0
-            && self.variant.migration_policy() != MigrationPolicyKind::Disabled
-        {
-            return Err(ConfigError::new(
-                "promotion requires at least one PLB entry",
-            ));
         }
         if self.telemetry.enabled && self.telemetry.sample_interval == Nanos::ZERO {
             return Err(ConfigError::new(
@@ -1016,18 +976,12 @@ mod tests {
             .with_cores(4)
             .with_cs_threshold(Nanos::from_micros(10))
             .with_sched_policy(SchedPolicy::RoundRobin)
-            .with_ssd_cache_size(128 * MIB)
-            .with_write_log_size(8 * MIB)
-            .with_host_dram_size(GIB)
             .with_nand(NandKind::Slc)
             .with_tlb(64, Nanos::new(120));
         assert_eq!(cfg.threads, 16);
         assert_eq!(cfg.cpu.cores, 4);
         assert_eq!(cfg.cs_threshold, Nanos::from_micros(10));
         assert_eq!(cfg.sched_policy, SchedPolicy::RoundRobin);
-        assert_eq!(cfg.ssd.dram.data_cache_bytes, 128 * MIB);
-        assert_eq!(cfg.ssd.dram.write_log_bytes, 8 * MIB);
-        assert_eq!(cfg.host_dram.promotion_capacity_bytes, GIB);
         assert_eq!(cfg.ssd.flash, FlashTimingConfig::for_kind(NandKind::Slc));
         assert_eq!(cfg.cpu.tlb.entries, 64);
         assert_eq!(cfg.cpu.tlb.miss_latency, Nanos::new(120));
@@ -1063,11 +1017,7 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let mut cfg = SimConfig::default();
-        cfg.ssd.geometry.page_size_bytes = 8192;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SimConfig::default();
-        cfg.cpu.mem_op_fraction = 1.5;
+        cfg.ssd.dram.index_resize_load_factor = 1.5;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SimConfig::default();

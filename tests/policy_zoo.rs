@@ -335,24 +335,24 @@ fn every_contender_result_is_pinned() {
     runs.push(("8-page pool".into(), demoting));
 
     let pinned: &[(&str, u64)] = &[
-        ("pseudo-lru/decay", 0xb0a8d490a7ab4bdb),
-        ("pseudo-lru/topk", 0x8ae7ad5b9c021697),
-        ("clock/threshold", 0x0ad2ab8c1f691ac2),
-        ("clock/decay", 0xf9710eb0e4e770ca),
-        ("clock/topk", 0xbedb785f533c705f),
-        ("2q/threshold", 0x5a96a663c334772c),
-        ("2q/decay", 0xf40006770ffaf423),
-        ("2q/topk", 0xe531502d11701a59),
-        ("fifo/threshold", 0x8d70f61a107a27ca),
-        ("fifo/decay", 0x94dae10a17f2c0c9),
-        ("fifo/topk", 0x523860844286681b),
-        ("bypass-scan", 0xe1069f27b859fb37),
-        ("fair-share ycsb+tpcc", 0x490f9aa4e23c8ee6),
-        ("qos ycsb+tpcc", 0x41790a5dce70e2fb),
-        ("trigger tpp", 0x5c1f37ee62108400),
-        ("trigger astriflash", 0x444c4d94a43b3640),
-        ("trigger disabled", 0x8871da4fd9a850b0),
-        ("8-page pool", 0x6a5c8f393d8e8dcd),
+        ("pseudo-lru/decay", 0x4f27e2b97d13fae7),
+        ("pseudo-lru/topk", 0xfa87e9d11af8e395),
+        ("clock/threshold", 0x6f6d58e643dbedee),
+        ("clock/decay", 0x9778c09a5829aa76),
+        ("clock/topk", 0x5c167f0784d9ab83),
+        ("2q/threshold", 0x4f0ac2770df57df8),
+        ("2q/decay", 0xb6a3aa18da3c62b5),
+        ("2q/topk", 0x04bd4dce47347fcb),
+        ("fifo/threshold", 0x35d4c1c64f257936),
+        ("fifo/decay", 0xaa3802e57781b1d5),
+        ("fifo/topk", 0xac23e86dac87923f),
+        ("bypass-scan", 0x37af622db72342fb),
+        ("fair-share ycsb+tpcc", 0xc96c4b0253e242bc),
+        ("qos ycsb+tpcc", 0x5b89812e35730ac1),
+        ("trigger tpp", 0x8a1e0ee9e22de5c4),
+        ("trigger astriflash", 0xa7b92cf4a023e926),
+        ("trigger disabled", 0xd6d6d96340bce0d6),
+        ("8-page pool", 0x0ae07d2a7d118a29),
     ];
     let got: Vec<(String, u64)> = runs
         .iter()

@@ -2,7 +2,7 @@
 //! parameters, so an accidental change to the published configuration fails
 //! fast instead of silently skewing every experiment.
 
-use skybyte_types::{Nanos, SchedPolicy, SimConfig, GIB, MIB};
+use skybyte_types::{Nanos, SchedPolicy, SimConfig, GIB, MIB, PAGE_SIZE};
 
 #[test]
 fn default_config_matches_table_2() {
@@ -32,7 +32,7 @@ fn default_config_matches_table_2() {
     // Geometry: 16 channels × 8 chips × 8 dies × 128 blocks × 256 pages
     // × 4 KiB = 128 GiB raw capacity.
     assert_eq!(cfg.ssd.geometry.channels, 16);
-    assert_eq!(cfg.ssd.geometry.page_size_bytes, 4096);
+    assert_eq!(PAGE_SIZE, 4096);
     assert_eq!(cfg.ssd.geometry.total_bytes(), 128 * GIB);
 
     // SSD-internal DRAM: 512 MiB total, split 448 MiB data cache + 64 MiB
