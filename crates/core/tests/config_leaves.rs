@@ -89,7 +89,8 @@ fn probes() -> Vec<Probe> {
     ]
 }
 
-/// Appends the JSON path of every non-string scalar leaf under `value`.
+/// Appends the dotted path of every non-string leaf under `value` (the
+/// config tree is maps all the way down).
 fn leaf_paths(value: &Value, path: &str, out: &mut Vec<String>) {
     match value {
         Value::Map(fields) => {
@@ -102,17 +103,12 @@ fn leaf_paths(value: &Value, path: &str, out: &mut Vec<String>) {
                 leaf_paths(v, &child, out);
             }
         }
-        Value::Seq(items) => {
-            for (i, v) in items.iter().enumerate() {
-                leaf_paths(v, &format!("{path}[{i}]"), out);
-            }
-        }
         Value::Str(_) => {}
         _ => out.push(path.to_string()),
     }
 }
 
-/// The leaf at a dotted map path (leaves under sequences are not perturbed).
+/// The leaf at a dotted map path.
 fn leaf_mut<'a>(value: &'a mut Value, path: &str) -> Option<&'a mut Value> {
     path.split('.').try_fold(value, |v, key| match v {
         Value::Map(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),

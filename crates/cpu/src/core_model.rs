@@ -1,4 +1,4 @@
-//! The MLP-limited core timing model and boundedness accounting.
+//! The overlap-window core timing model and boundedness accounting.
 //!
 //! Following the paper's methodology (§II-C), a cycle is *bounded by memory*
 //! if nothing but memory operations is in flight during it, and *bounded by

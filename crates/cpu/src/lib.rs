@@ -4,8 +4,8 @@
 //! simulator. Its conclusions, however, are driven by off-chip memory
 //! behaviour: Figure 4 shows that the studied workloads spend 62.9–99.8 % of
 //! their cycles bounded by memory even on host DRAM. This crate therefore
-//! provides a *memory-level-parallelism (MLP) limited* core model instead of
-//! a full pipeline model. Workload records are already the off-chip
+//! provides an *overlap-window* core model (the ROB hides a bounded slice of
+//! each off-chip access) instead of a full pipeline model. Workload records are already the off-chip
 //! (post-LLC) access stream, so no on-chip cache hierarchy is simulated:
 //!
 //! * [`HostDram`] — DDR5 latency/bandwidth model for accesses that stay in
