@@ -28,7 +28,7 @@ use skybyte_sim::{ExperimentScale, SimResult, Simulation, TelemetryOutput};
 use skybyte_trace::{
     record_to_file, BoxedSource, Mix, Shift, TraceHeader, TraceRecord, TraceSource, TraceWriter,
 };
-use skybyte_types::{SimConfig, TelemetryConfig, VariantKind, KIB, MIB, PAGE_SIZE};
+use skybyte_types::{FastHashSet, SimConfig, TelemetryConfig, VariantKind, KIB, MIB, PAGE_SIZE};
 use skybyte_workloads::{WorkloadKind, WorkloadSource};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -483,7 +483,7 @@ fn pin_into_staging(
     if only.is_some() {
         return Ok(pairs.len());
     }
-    let expected: std::collections::HashSet<PathBuf> = entries
+    let expected: FastHashSet<PathBuf> = entries
         .iter()
         .flat_map(|e| {
             std::iter::once(e.trace_path(corpus))

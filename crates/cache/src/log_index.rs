@@ -14,8 +14,7 @@
 //! average index footprint" observation.
 
 use serde::{Deserialize, Serialize};
-use skybyte_types::{CachelineIndex, Lpa, CACHELINES_PER_PAGE};
-use std::collections::HashMap;
+use skybyte_types::{CachelineIndex, FastHashMap, Lpa, CACHELINES_PER_PAGE};
 
 /// Size of a first-level entry in bytes (8 B LPA + 8 B pointer).
 const FIRST_LEVEL_ENTRY_BYTES: u64 = 16;
@@ -30,14 +29,17 @@ struct SecondLevelTable {
     /// Allocated slot count (power of two, models the hash-table storage).
     allocated_slots: usize,
     /// Live entries: cacheline offset within the page → offset in the log.
-    entries: HashMap<CachelineIndex, u32>,
+    entries: FastHashMap<CachelineIndex, u32>,
 }
 
 impl SecondLevelTable {
     fn new() -> Self {
         SecondLevelTable {
             allocated_slots: SECOND_LEVEL_INITIAL_SLOTS,
-            entries: HashMap::with_capacity(SECOND_LEVEL_INITIAL_SLOTS),
+            entries: FastHashMap::with_capacity_and_hasher(
+                SECOND_LEVEL_INITIAL_SLOTS,
+                Default::default(),
+            ),
         }
     }
 
@@ -68,7 +70,7 @@ pub struct LogIndexStats {
 /// The two-level hash index mapping `(LPA, cacheline)` to a log offset.
 #[derive(Debug, Clone)]
 pub struct LogIndex {
-    first_level: HashMap<Lpa, SecondLevelTable>,
+    first_level: FastHashMap<Lpa, SecondLevelTable>,
     load_factor: f64,
     resizes: u64,
 }
@@ -85,7 +87,7 @@ impl LogIndex {
             "load factor must be in (0, 1]"
         );
         LogIndex {
-            first_level: HashMap::new(),
+            first_level: FastHashMap::default(),
             load_factor,
             resizes: 0,
         }

@@ -390,6 +390,7 @@ impl WriteLog {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use skybyte_types::FastHashMap;
 
     fn small_log() -> WriteLog {
         // 2 KiB => 16 entries per buffer.
@@ -611,7 +612,7 @@ mod tests {
         #[test]
         fn prop_latest_token_wins(ops in proptest::collection::vec((0u64..8, 0u8..8, 0u64..1_000_000), 1..200)) {
             let mut log = WriteLog::new(4096, 0.75); // 32 entries/buffer
-            let mut model: std::collections::HashMap<(u64, u8), u64> = Default::default();
+            let mut model: FastHashMap<(u64, u8), u64> = Default::default();
             for (i, (page, cl, token)) in ops.iter().enumerate() {
                 let out = log.append(Lpa::new(*page), *cl, *token);
                 model.insert((*page, *cl), *token);
@@ -638,13 +639,13 @@ mod tests {
         #[test]
         fn prop_compaction_plan_is_exact(ops in proptest::collection::vec((0u64..4, 0u8..16, 0u64..1_000), 1..64)) {
             let mut log = WriteLog::new(2 * 64 * 64, 0.75); // 64 entries/buffer >= ops
-            let mut model: std::collections::HashMap<(u64, u8), u64> = Default::default();
+            let mut model: FastHashMap<(u64, u8), u64> = Default::default();
             for (page, cl, token) in &ops {
                 log.append(Lpa::new(*page), *cl, *token);
                 model.insert((*page, *cl), *token);
             }
             let plan = log.start_compaction().unwrap();
-            let mut from_plan: std::collections::HashMap<(u64, u8), u64> = Default::default();
+            let mut from_plan: FastHashMap<(u64, u8), u64> = Default::default();
             for p in &plan.pages {
                 for (cl, token) in &p.cachelines {
                     from_plan.insert((p.lpa.index(), *cl), *token);

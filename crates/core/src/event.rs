@@ -104,7 +104,7 @@ mod tests {
             let mut q = EventQueue::new();
             // seq is assigned at push time, so track which payload got which
             // seq in this insertion order.
-            let mut seq_of = std::collections::HashMap::new();
+            let mut seq_of = skybyte_types::FastHashMap::default();
             for &i in &perm {
                 let (core, payload) = events[i];
                 let seq = q.push(t, core);

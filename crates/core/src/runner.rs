@@ -19,9 +19,10 @@ use crate::metrics::SimResult;
 use crate::scale::ExperimentScale;
 use crate::telemetry::TelemetryOutput;
 use serde::Serialize;
-use skybyte_types::{PolicyOverride, SimConfig, TelemetryConfig, VariantKind};
+use skybyte_types::{
+    FastHashMap, FastHashSet, PolicyOverride, SimConfig, TelemetryConfig, VariantKind,
+};
 use skybyte_workloads::WorkloadKind;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -214,8 +215,8 @@ pub struct Runner {
 /// concurrent callers never execute the same run twice.
 #[derive(Debug, Default)]
 struct MemoState {
-    done: HashMap<String, Arc<SimResult>>,
-    in_flight: HashSet<String>,
+    done: FastHashMap<String, Arc<SimResult>>,
+    in_flight: FastHashSet<String>,
 }
 
 impl Runner {

@@ -74,6 +74,9 @@ pub struct BlockManager {
     /// Round-robin pointer used to pick the next channel for a host write.
     next_channel: u32,
     free_count: u64,
+    /// Sum of `valid_pages` over every block, kept as pages are programmed
+    /// and invalidated so the GC trigger's utilisation check is O(1).
+    valid_total: u64,
 }
 
 impl BlockManager {
@@ -95,6 +98,7 @@ impl BlockManager {
             open_blocks: vec![None; geometry.channels as usize],
             next_channel: 0,
             free_count: total_blocks,
+            valid_total: 0,
         }
     }
 
@@ -195,6 +199,7 @@ impl BlockManager {
         let page = info.write_ptr;
         info.write_ptr += 1;
         info.valid_pages += 1;
+        self.valid_total += 1;
         debug_assert_eq!(info.contents.len() as u32, page);
         info.contents.push(Some(lpa));
         if info.write_ptr >= pages_per_block {
@@ -212,6 +217,7 @@ impl BlockManager {
         if let Some(slot) = info.contents.get_mut(ppa.page as usize) {
             if slot.take().is_some() {
                 info.valid_pages = info.valid_pages.saturating_sub(1);
+                self.valid_total -= 1;
             }
         }
     }
@@ -291,9 +297,7 @@ impl BlockManager {
     /// data; this is the device utilisation compared against the GC
     /// threshold.
     pub fn utilisation(&self) -> f64 {
-        let total_pages = self.geometry.total_pages();
-        let valid: u64 = self.blocks.iter().map(|b| b.valid_pages as u64).sum();
-        valid as f64 / total_pages as f64
+        self.valid_total as f64 / self.geometry.total_pages() as f64
     }
 }
 
@@ -335,7 +339,7 @@ mod tests {
     #[test]
     fn block_fills_and_closes() {
         let mut mgr = BlockManager::new(small_geometry());
-        let mut blocks_used = std::collections::HashSet::new();
+        let mut blocks_used = skybyte_types::FastHashSet::default();
         // 2 channels * 4 blocks * 4 pages = 32 pages total.
         for i in 0..32 {
             let (_, blk) = mgr.allocate_page(Lpa::new(i)).unwrap();
@@ -378,8 +382,7 @@ mod tests {
     #[test]
     fn live_contents_reports_survivors() {
         let mut mgr = BlockManager::new(small_geometry());
-        let mut by_block: std::collections::HashMap<BlockId, Vec<(Lpa, Ppa)>> =
-            std::collections::HashMap::new();
+        let mut by_block: skybyte_types::FastHashMap<BlockId, Vec<(Lpa, Ppa)>> = Default::default();
         for i in 0..8 {
             let (ppa, blk) = mgr.allocate_page(Lpa::new(i)).unwrap();
             by_block.entry(blk).or_default().push((Lpa::new(i), ppa));
@@ -407,6 +410,68 @@ mod tests {
         // The last allocated block is full but still valid.
         let full_block = blk.unwrap();
         mgr.erase_block(full_block);
+    }
+
+    #[test]
+    fn running_valid_count_matches_the_block_sum() {
+        // SplitMix64: a dependency-free stream of random operations.
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let total_pages = small_geometry().total_pages() as f64;
+        let mut erased = 0;
+        for case in 0..50 {
+            let mut mgr = BlockManager::new(small_geometry());
+            let mut mapped: Vec<Option<Ppa>> = vec![None; 12];
+            for step in 0..300 {
+                let lpa = next(12) as usize;
+                match next(4) {
+                    0 | 1 => {
+                        if let Some((ppa, _)) = mgr.allocate_page(Lpa::new(lpa as u64)) {
+                            if let Some(old) = mapped[lpa].replace(ppa) {
+                                mgr.invalidate(old);
+                            }
+                        }
+                    }
+                    2 => {
+                        if let Some(old) = mapped[lpa].take() {
+                            // A second invalidation of the same page is a no-op.
+                            mgr.invalidate(old);
+                            mgr.invalidate(old);
+                        }
+                    }
+                    _ => {
+                        for victim in mgr.select_gc_victims(1) {
+                            for (page, l) in mgr.live_contents(victim) {
+                                let Some((ppa, _)) = mgr.allocate_page(l) else {
+                                    break;
+                                };
+                                mgr.invalidate(mgr.ppa_of(victim, page));
+                                mapped[l.index() as usize] = Some(ppa);
+                            }
+                            if mgr.valid_pages(victim) == 0 {
+                                mgr.erase_block(victim);
+                                erased += 1;
+                            }
+                        }
+                    }
+                }
+                let valid: u64 = (0..mgr.total_blocks())
+                    .map(|b| mgr.valid_pages(BlockId(b)) as u64)
+                    .sum();
+                assert_eq!(
+                    mgr.utilisation(),
+                    valid as f64 / total_pages,
+                    "case {case}, step {step}"
+                );
+            }
+        }
+        assert!(erased > 0, "the sequences must exercise GC erases");
     }
 
     #[test]

@@ -332,7 +332,7 @@ mod tests {
         );
         // Every logical page must still be mapped to a valid physical page and
         // all mappings must be distinct.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = skybyte_types::FastHashSet::default();
         for i in 0..32u64 {
             let ppa = ftl.translate(Lpa::new(i)).expect("page lost by GC");
             assert!(seen.insert(ppa), "two LPAs map to the same PPA");

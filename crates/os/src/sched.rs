@@ -13,7 +13,7 @@ use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use skybyte_types::{Nanos, SchedPolicy};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Scheduler activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,7 +32,8 @@ pub struct Scheduler {
     policy: SchedPolicy,
     cs_overhead: Nanos,
     threads: Vec<ThreadControlBlock>,
-    running: HashMap<u32, ThreadId>,
+    /// The thread running on each core, indexed by core.
+    running: Vec<Option<ThreadId>>,
     rng: ChaCha12Rng,
     rr_counter: u64,
     stats: SchedStats,
@@ -55,7 +56,7 @@ impl Scheduler {
             policy,
             cs_overhead,
             threads: Vec::new(),
-            running: HashMap::new(),
+            running: Vec::new(),
             rng: ChaCha12Rng::seed_from_u64(seed),
             rr_counter: 0,
             stats: SchedStats::default(),
@@ -110,7 +111,7 @@ impl Scheduler {
 
     /// The thread currently running on `core`, if any.
     pub fn running_on(&self, core: u32) -> Option<ThreadId> {
-        self.running.get(&core).copied()
+        self.running.get(core as usize).copied().flatten()
     }
 
     /// Makes blocked threads whose wake-up time has passed runnable again.
@@ -180,7 +181,11 @@ impl Scheduler {
         match candidate {
             Some(id) => {
                 self.threads[id.0 as usize].state = ThreadState::Running { core };
-                self.running.insert(core, id);
+                let slot = core as usize;
+                if self.running.len() <= slot {
+                    self.running.resize(slot + 1, None);
+                }
+                self.running[slot] = Some(id);
                 Some(id)
             }
             None => {
@@ -204,7 +209,7 @@ impl Scheduler {
         wake_at: Nanos,
         reason: BlockReason,
     ) -> Option<ThreadId> {
-        let id = self.running.remove(&core)?;
+        let id = self.running.get_mut(core as usize)?.take()?;
         let t = &mut self.threads[id.0 as usize];
         t.switches += 1;
         if wake_at > now {
@@ -233,7 +238,7 @@ impl Scheduler {
     pub fn finish_thread(&mut self, id: ThreadId) {
         match self.threads[id.0 as usize].state {
             ThreadState::Running { core } => {
-                self.running.remove(&core);
+                self.running[core as usize] = None;
             }
             // Finishing a blocked thread (not something the engine does, but
             // the API allows it) must not leave a stale wake-up behind:

@@ -8,8 +8,7 @@
 //! that behaviour: only accesses that fall inside the sampling window are
 //! observed, and a bounded number of promotions is allowed per window.
 
-use skybyte_types::{Lpa, MigrationConfig, Nanos};
-use std::collections::HashMap;
+use skybyte_types::{FastHashMap, Lpa, MigrationConfig, Nanos};
 
 /// Periodic-sampling hotness estimator.
 #[derive(Debug, Clone)]
@@ -18,7 +17,7 @@ pub struct TppSampler {
     promotions_per_period: u32,
     window_start: Nanos,
     /// Accesses observed in the current window.
-    window_counts: HashMap<Lpa, u32>,
+    window_counts: FastHashMap<Lpa, u32>,
     /// Candidates produced at the end of the previous window.
     candidates: Vec<Lpa>,
     windows: u64,
@@ -31,7 +30,7 @@ impl TppSampler {
             period: cfg.tpp_sample_period,
             promotions_per_period: cfg.tpp_promotions_per_period,
             window_start: Nanos::ZERO,
-            window_counts: HashMap::new(),
+            window_counts: FastHashMap::default(),
             candidates: Vec::new(),
             windows: 0,
         }

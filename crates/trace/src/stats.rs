@@ -5,6 +5,10 @@
 //! cacheline-coverage distribution (Figures 5–6). Pages hold 64 cachelines,
 //! so coverage is tracked as one `u64` bitmap per touched page.
 
+// The coverage map's keys come from arbitrary `.sbt` files, which the
+// seedless Fx hasher must not hash: this module keeps SipHash.
+#![allow(clippy::disallowed_types)]
+
 use crate::error::TraceError;
 use crate::format::{TraceHeader, TraceReader};
 use crate::record::TraceRecord;

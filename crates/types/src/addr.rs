@@ -275,11 +275,11 @@ mod tests {
 
     #[test]
     fn ppa_ordering_and_hashing() {
-        use std::collections::HashSet;
+        use crate::FastHashSet;
         let a = Ppa::new(0, 0, 0, 0, 1, 2);
         let b = Ppa::new(0, 0, 0, 0, 1, 3);
         assert!(a < b);
-        let mut set = HashSet::new();
+        let mut set = FastHashSet::default();
         set.insert(a);
         assert!(set.contains(&a));
         assert!(!set.contains(&b));

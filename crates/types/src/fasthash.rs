@@ -19,9 +19,11 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with the deterministic [`FxHasher`].
+#[allow(clippy::disallowed_types)] // the one sanctioned route to the std map
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` keyed with the deterministic [`FxHasher`].
+#[allow(clippy::disallowed_types)] // the one sanctioned route to the std set
 pub type FastHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Zero-sized, seedless builder for [`FxHasher`].

@@ -210,7 +210,7 @@ impl Iterator for TraceGenerator {
 mod tests {
     use super::*;
     use crate::spec::WorkloadKind;
-    use std::collections::HashSet;
+    use skybyte_types::{FastHashMap, FastHashSet};
 
     fn scaled(kind: WorkloadKind) -> WorkloadSpec {
         kind.spec().scaled_to(32 << 20) // 32 MiB
@@ -354,7 +354,7 @@ mod tests {
             g.generate(5_000)
                 .iter()
                 .map(|u| u.access.addr.page().index())
-                .collect::<HashSet<_>>()
+                .collect::<FastHashSet<_>>()
         };
         let a = pages_of(0);
         let b = pages_of(1);
@@ -363,8 +363,8 @@ mod tests {
         assert!(!shared.is_empty());
         assert!(shared.iter().all(|p| **p < hot_pages));
         // Cold pages of thread 0 are disjoint from thread 1's cold pages.
-        let cold_a: HashSet<_> = a.iter().filter(|p| **p >= hot_pages).collect();
-        let cold_b: HashSet<_> = b.iter().filter(|p| **p >= hot_pages).collect();
+        let cold_a: FastHashSet<_> = a.iter().filter(|p| **p >= hot_pages).collect();
+        let cold_b: FastHashSet<_> = b.iter().filter(|p| **p >= hot_pages).collect();
         assert!(cold_a.is_disjoint(&cold_b));
     }
 
@@ -372,7 +372,7 @@ mod tests {
     fn page_coverage_is_sparse_for_graph_workloads() {
         let spec = scaled(WorkloadKind::Bc);
         let mut g = TraceGenerator::new(&spec, 0, 1, 11);
-        let mut per_page: std::collections::HashMap<u64, HashSet<u8>> = Default::default();
+        let mut per_page: FastHashMap<u64, FastHashSet<u8>> = Default::default();
         for u in g.generate(50_000) {
             per_page
                 .entry(u.access.addr.page().index())

@@ -9,8 +9,7 @@
 
 use crate::generator::WorkUnit;
 use serde::{Deserialize, Serialize};
-use skybyte_types::CACHELINES_PER_PAGE;
-use std::collections::HashMap;
+use skybyte_types::{FastHashMap, CACHELINES_PER_PAGE};
 
 /// A CDF over "fraction of cachelines touched per page".
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,8 +60,8 @@ pub fn page_locality_cdf<'a, I>(units: I) -> (LocalityCdf, LocalityCdf)
 where
     I: IntoIterator<Item = &'a WorkUnit>,
 {
-    let mut read_sets: HashMap<u64, u64> = HashMap::new();
-    let mut write_sets: HashMap<u64, u64> = HashMap::new();
+    let mut read_sets: FastHashMap<u64, u64> = FastHashMap::default();
+    let mut write_sets: FastHashMap<u64, u64> = FastHashMap::default();
     for u in units {
         let page = u.access.addr.page().index();
         let bit = 1u64 << u.access.addr.cacheline_in_page();
@@ -74,7 +73,7 @@ where
     (build_cdf(&read_sets), build_cdf(&write_sets))
 }
 
-fn build_cdf(sets: &HashMap<u64, u64>) -> LocalityCdf {
+fn build_cdf(sets: &FastHashMap<u64, u64>) -> LocalityCdf {
     let pages = sets.len() as u64;
     if pages == 0 {
         return LocalityCdf {
